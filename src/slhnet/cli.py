@@ -550,16 +550,15 @@ def _mean_n(st: DensityMatrix, dims) -> float:
 
 def _run_steady(net, built, outdir, fmt, manifest):
     liou = build_liouvillian(built.model, net.registry)
-    rho = steady_state(liou)
+    stats: dict = {}
+    rho = steady_state(liou, stats=stats)
     dims = net.registry.dims
-    resid = float(np.linalg.norm(liou.apply(rho.mat)))
     f = fano_factor(rho, dims, 0)
     delta = non_gaussianity(rho, dims, 0)
     nbar = _mean_n(rho, dims)
     purity = float(np.trace(rho.mat @ rho.mat).real)
     leak = fock_leak(rho.mat, dims)
-    manifest["integrator_stats"] = {"method": "dense-nullspace",
-                                    "residual": resid}
+    manifest["integrator_stats"] = stats
     manifest["leak_report"] = {"max_leak": leak, "threshold": 1e-6,
                                "within_threshold": leak < 1e-6}
     manifest["results"] = {
@@ -574,14 +573,17 @@ def _run_g2(net, built, outdir, fmt, manifest):
     if len(net.registry) != 1:
         raise PhysicsValidationError("g2 task supports single-mode netlists")
     liou = build_liouvillian(built.model, net.registry)
-    rho = steady_state(liou)
+    steady_stats: dict = {}
+    rho = steady_state(liou, stats=steady_stats)
     taus = list(np.linspace(0.0, net.run.t_max, net.run.n_points))
-    vals = g2(built.model, rho, taus, net.registry)
+    stats: dict = {}
+    vals = g2(built.model, rho, taus, net.registry, stats=stats)
     tau_star = net.run.tau_star
     columns = ("tau_us", "tau_over_taustar", "g2")
     rows = [(t, t / tau_star, v) for t, v in zip(taus, vals)]
     leak = fock_leak(rho.mat, net.registry.dims)
-    manifest["integrator_stats"] = {"method": "regression+RK45"}
+    manifest["integrator_stats"] = {**stats, "method": "regression+RK45",
+                                    "steady_state": steady_stats}
     manifest["leak_report"] = {"max_leak": leak, "threshold": 1e-6,
                                "within_threshold": leak < 1e-6}
     manifest["results"] = {

@@ -1,14 +1,17 @@
 """Truncated-Fock-space realization of effective models: operator matrices,
-vacuum and squeezed dissipators, Liouvillian assembly, time integration, and
+the master-equation generator in jump form (every channel, squeezed baths
+included, as vacuum-form jump operators), RK45 time integration, and sparse
 steady states."""
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse import linalg as spla
 
 from .algebra import ModeRegistry, OperatorExpr
 
@@ -16,7 +19,7 @@ log = logging.getLogger(__name__)
 
 ATOL = 1e-10
 RTOL = 1e-8
-DENSE_STEADY_DIM = 40
+DENSE_DIM_CAP = 120
 DIM_CAP = 4096
 CLIP_FLOOR = -1e-8
 ABORT_FLOOR = -1e-7
@@ -86,11 +89,13 @@ def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 @dataclass
 class DensityMatrix:
-    """Validated truncated-Fock density matrix."""
+    """Validated truncated-Fock density matrix.  A caller that has already
+    diagonalized ``mat`` passes its smallest eigenvalue as ``min_eig``."""
 
     mat: np.ndarray
+    min_eig: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, min_eig: float | None = None):
         self.mat = np.asarray(self.mat, dtype=complex)
         d = self.mat.shape[0]
         if self.mat.shape != (d, d):
@@ -101,9 +106,10 @@ class DensityMatrix:
         tr = np.trace(self.mat).real
         if abs(tr - 1.0) > 1e-8:
             raise PhysicsValidationError(f"trace {tr!r} deviates from 1 beyond 1e-8")
-        mineig = float(np.linalg.eigvalsh(self.mat)[0])
-        if mineig < CLIP_FLOOR:
-            raise PhysicsValidationError(f"negative eigenvalue {mineig:.2e} below floor")
+        if min_eig is None:
+            min_eig = float(np.linalg.eigvalsh(self.mat)[0])
+        if min_eig < CLIP_FLOOR:
+            raise PhysicsValidationError(f"negative eigenvalue {min_eig:.2e} below floor")
 
     @property
     def dim(self) -> int:
@@ -138,84 +144,75 @@ class DensityMatrix:
         return DensityMatrix(np.diag(pops).astype(complex))
 
 
-def _dissipator_apply(Lmat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    Ld = Lmat.conj().T
-    LdL = Ld @ Lmat
-    return Lmat @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-
-
-def vacuum_dissipator(Lmat: np.ndarray):
-    """Superoperator closure for D[L]."""
-    Ld = Lmat.conj().T
-    LdL = Ld @ Lmat
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        return Lmat @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-
-    return apply
-
-
-def squeezed_dissipator(Lmat: np.ndarray, N: float, M: complex):
-    """Superoperator closure for the squeezed-bath dissipator D_s[L].
+def squeezed_jumps(Lmat: np.ndarray, N: float, M: complex) -> list[np.ndarray]:
+    """Jump operators C_m with D_s[L] = sum_m D[C_m] for a squeezed bath.
 
     D_s[L]rho = (N+1) D[L]rho + N D[Ld]rho
                 + conj(M) (L rho L - (L^2 rho + rho L^2)/2)
                 + M (Ld rho Ld - (Ld^2 rho + rho Ld^2)/2)
+    has coefficient matrix G = [[N+1, conj(M)], [M, N]] over (L, Ld); with
+    G = U diag(g) U^dag, C_m = sqrt(g_m) (U_0m L + U_1m Ld), dropping g_m = 0.
     """
     if abs(M) ** 2 > N * (N + 1) + 1e-9:
         raise PhysicsValidationError(
             f"unphysical squeezed bath: |M|^2={abs(M)**2:.6g} > N(N+1)={N*(N+1):.6g}"
         )
+    g, U = np.linalg.eigh([[N + 1, np.conj(M)], [M, N]])
     Ld = Lmat.conj().T
-    L2 = Lmat @ Lmat
-    Ld2 = Ld @ Ld
-    Mc = complex(M).conjugate()
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        out = (N + 1) * _dissipator_apply(Lmat, rho)
-        out += N * _dissipator_apply(Ld, rho)
-        out += Mc * (Lmat @ rho @ Lmat - 0.5 * (L2 @ rho + rho @ L2))
-        out += M * (Ld @ rho @ Ld - 0.5 * (Ld2 @ rho + rho @ Ld2))
-        return out
-
-    return apply
+    return [np.sqrt(gm) * (U[0, m] * Lmat + U[1, m] * Ld)
+            for m, gm in enumerate(g) if gm > 0.0]
 
 
 @dataclass
 class Liouvillian:
-    """Master-equation generator: commutator with H plus weighted dissipators.
+    """Master-equation generator in jump form: with jump operators C (rates
+    folded in) and K = -iH - sum C^dag C / 2,
 
-    Holds matrices and closure terms; the dense dim^2 x dim^2 matrix is built
-    lazily for steady-state work only.
+        L rho = K rho + rho K^dag + sum_C C rho C^dag.
     """
 
     Hmat: np.ndarray
-    channels: list  # (Lmat, bath, rate_prefactor) for diagnostics
-    dim: int
-    _terms: list = field(default_factory=list, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False)
+    jumps: list = field(default_factory=list)
+    dim: int = field(init=False)
+    K: np.ndarray = field(init=False, repr=False)
+    _Kd: np.ndarray = field(init=False, repr=False)
+    _sandwich: list = field(init=False, repr=False)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.dim = self.Hmat.shape[0]
+        self.K = -1j * np.asarray(self.Hmat, dtype=complex)
+        for C in self.jumps:
+            self.K -= 0.5 * (C.conj().T @ C)
+        self._Kd = self.K.conj().T
+        self._sandwich = [(C, C.conj().T) for C in self.jumps]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.Hmat @ rho - rho @ self.Hmat)
-        for rate, term in self._terms:
-            out += rate * term(rho)
+        out = self.K @ rho
+        out += rho @ self._Kd
+        for C, Cd in self._sandwich:
+            out += C @ rho @ Cd
         return out
+
+    def superoperator(self) -> sparse.csr_matrix:
+        """S = K (x) 1 + 1 (x) conj(K) + sum C (x) conj(C), so that
+        S @ vec(rho) = vec(apply(rho)) for row-major vec."""
+        eye = sparse.identity(self.dim, dtype=complex, format="coo")
+        K = sparse.coo_matrix(self.K)
+        S = sparse.kron(K, eye) + sparse.kron(eye, K.conj())
+        for C in self.jumps:
+            Cs = sparse.coo_matrix(C)
+            S = S + sparse.kron(Cs, Cs.conj())
+        return sparse.csr_matrix(S, dtype=complex)
 
     def as_dense(self) -> np.ndarray:
         if self._dense is None:
             d = self.dim
-            if d > DENSE_STEADY_DIM * 3:
+            if d > DENSE_DIM_CAP:
                 raise NumericalFailure(
                     f"dense superoperator at dim={d} would be {d*d}x{d*d}; refusing"
                 )
-            M = np.zeros((d * d, d * d), dtype=complex)
-            E = np.zeros((d, d), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    E[i, j] = 1.0
-                    M[:, i * d + j] = self.apply(E).ravel()
-                    E[i, j] = 0.0
-            self._dense = M
+            self._dense = self.superoperator().toarray()
         return self._dense
 
 
@@ -230,21 +227,17 @@ def build_liouvillian(model, registry: ModeRegistry) -> Liouvillian:
     herm = np.max(np.abs(Hmat - Hmat.conj().T)) if dim else 0.0
     if herm > 1e-9:
         raise PhysicsValidationError(f"H_eff matrix not Hermitian: {herm:.2e}")
-    terms = []
-    chans = []
+    jumps = []
     for ch in model.channels:
-        Lmat = to_matrix(ch.op, registry)
+        Lmat = np.sqrt(ch.rate_prefactor) * to_matrix(ch.op, registry)
         if ch.bath.kind is BathKind.VACUUM:
-            terms.append((ch.rate_prefactor, vacuum_dissipator(Lmat)))
+            jumps.append(Lmat)
         else:
-            terms.append(
-                (ch.rate_prefactor, squeezed_dissipator(Lmat, ch.bath.N, ch.bath.M))
-            )
-        chans.append((Lmat, ch.bath, ch.rate_prefactor))
-    return Liouvillian(Hmat=Hmat, channels=chans, dim=dim, _terms=terms)
+            jumps.extend(squeezed_jumps(Lmat, ch.bath.N, ch.bath.M))
+    return Liouvillian(Hmat=Hmat, jumps=jumps)
 
 
-def _validate_evolved(rho: np.ndarray, t: float) -> np.ndarray:
+def _validate_evolved(rho: np.ndarray, t: float) -> DensityMatrix:
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
         raise NumericalFailure(f"trace drift {tr - 1:.3e} at t={t:g}")
@@ -258,19 +251,23 @@ def _validate_evolved(rho: np.ndarray, t: float) -> np.ndarray:
             f"negative population {w[0]:.3e} at t={t:g}; truncation inadequate"
         )
     if w[0] < CLIP_FLOOR:
-        # roundoff-scale negatives: project back to the PSD cone and renormalize
-        wc, v = np.linalg.eigh(rho)
-        wc = np.clip(wc, 0.0, None)
-        rho = (v * wc) @ v.conj().T
-        rho /= np.trace(rho).real
         log.info("clipped eigenvalue floor %.3e at t=%g", w[0], t)
-    return rho
+        return DensityMatrix(_clip_to_psd(rho), min_eig=0.0)
+    return DensityMatrix(rho, min_eig=float(w[0]))
+
+
+def _clip_to_psd(rho: np.ndarray) -> np.ndarray:
+    """Project roundoff-scale negatives away and renormalize."""
+    wc, v = np.linalg.eigh(rho)
+    wc = np.clip(wc, 0.0, None)
+    rho = (v * wc) @ v.conj().T
+    return rho / np.trace(rho).real
 
 
 def integrate(
     liou: Liouvillian, rho0: DensityMatrix, t_grid, stats: dict | None = None
 ) -> list[DensityMatrix]:
-    """Evolve rho0 along t_grid (strictly increasing from 0).
+    """Evolve rho0 along t_grid (strictly increasing from 0) with RK45.
 
     If ``stats`` is given, it receives the integrator's work counters.
     """
@@ -278,19 +275,25 @@ def integrate(
     if t_grid[0] != 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing and start at 0")
     d = liou.dim
+    # solve_ivp's solver is left in a reference cycle through rhs: drop the
+    # generator from it so it is not kept until the next full collection
+    gen = [liou]
 
     def rhs(t, y):
-        return liou.apply(y.reshape(d, d)).ravel()
+        return gen[0].apply(y.reshape(d, d)).ravel()
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_grid[-1]),
-        rho0.mat.ravel().astype(complex),
-        t_eval=t_grid,
-        method="RK45",
-        atol=ATOL,
-        rtol=RTOL,
-    )
+    try:
+        sol = solve_ivp(
+            rhs,
+            (0.0, t_grid[-1]),
+            rho0.mat.ravel().astype(complex),
+            t_eval=t_grid,
+            method="RK45",
+            atol=ATOL,
+            rtol=RTOL,
+        )
+    finally:
+        gen.clear()
     if stats is not None:
         stats.update(
             method="RK45",
@@ -301,55 +304,48 @@ def integrate(
         )
     if not sol.success:
         raise NumericalFailure(f"integrator failed: {sol.message}")
-    out = []
-    for k, t in enumerate(t_grid):
-        rho = sol.y[:, k].reshape(d, d)
-        out.append(DensityMatrix(_validate_evolved(rho, t)))
-    return out
+    return [
+        _validate_evolved(sol.y[:, k].reshape(d, d), t)
+        for k, t in enumerate(t_grid)
+    ]
 
 
-def steady_state(liou: Liouvillian) -> DensityMatrix:
-    """Null-space steady state; dense eigensolve at small dim, else shift-invert."""
+def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
+    """Kernel of the sparse superoperator S by ARPACK shift-invert.
+
+    The shift sigma = +1e-9 ||S||_1 keeps S - sigma regular, since no
+    eigenvalue of a Lindbladian has a positive real part.  A second
+    eigenvalue within 1e-9 ||S||_1 of zero means several steady states.
+    ``stats``, if given, receives the method, |lambda_2| and ||L rho||_F.
+    """
     d = liou.dim
-    if d <= DENSE_STEADY_DIM:
-        M = liou.as_dense()
-        w, v = np.linalg.eig(M)
-        scale = np.max(np.abs(w)) or 1.0
-        idx = np.argsort(np.abs(w))
-        if len(w) > 1 and abs(w[idx[1]]) < 1e-9 * scale:
-            raise PhysicsValidationError(
-                "degenerate Liouvillian kernel: multiple steady states"
-            )
-        vec = v[:, idx[0]]
-    else:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.linalg import eigs
-
-        M = csr_matrix(liou.as_dense())
-        w, v = eigs(M, k=2, sigma=0.0, which="LM")
-        order = np.argsort(np.abs(w))
-        if abs(w[order[1]]) < 1e-9:
-            raise PhysicsValidationError(
-                "degenerate Liouvillian kernel: multiple steady states"
-            )
-        vec = v[:, order[0]]
-    rho = vec.reshape(d, d)
+    S = liou.superoperator()
+    scale = spla.norm(S, 1) or 1.0
+    sigma = 1e-9 * scale
+    # a fixed start vector keeps the result, and so the manifests, reproducible
+    v0 = np.random.default_rng(0).standard_normal(d * d).astype(complex)
+    w, v = spla.eigs(S, k=2, sigma=sigma, which="LM", v0=v0)
+    order = np.argsort(np.abs(w))
+    lam2 = float(abs(w[order[1]]))
+    if lam2 < 1e-9 * scale:
+        raise PhysicsValidationError(
+            "degenerate Liouvillian kernel: multiple steady states"
+        )
+    rho = v[:, order[0]].reshape(d, d)
     rho = rho + rho.conj().T
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise NumericalFailure("steady-state candidate has vanishing trace")
     rho = rho / tr
-    res = np.linalg.norm(liou.apply(rho))
-    norm = np.linalg.norm(liou.as_dense()) if d <= DENSE_STEADY_DIM else 1.0
-    if res > 1e-9 * max(norm, 1.0):
+    res = float(np.linalg.norm(liou.apply(rho)))
+    if res > 1e-9:
         warnings.warn(f"steady-state residual {res:.2e} above target")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < CLIP_FLOOR:
-        wc, v2 = np.linalg.eigh(rho)
-        wc = np.clip(wc, 0.0, None)
-        rho = (v2 * wc) @ v2.conj().T
-        rho /= np.trace(rho).real
-    return DensityMatrix(rho)
+    if stats is not None:
+        stats.update(method="sparse-shift-invert", lambda2_abs=lam2, residual=res)
+    w0 = float(np.linalg.eigvalsh(rho)[0])
+    if w0 < CLIP_FLOOR:
+        return DensityMatrix(_clip_to_psd(rho), min_eig=0.0)
+    return DensityMatrix(rho, min_eig=w0)
 
 
 def fock_leak(rho: np.ndarray, dims: tuple[int, ...]) -> float:

@@ -74,12 +74,13 @@ def fano_factor(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0) -> fl
     return var / mean
 
 
-def g2(model, rho_ss: DensityMatrix, tau_grid, registry=None) -> list[float]:
+def g2(model, rho_ss: DensityMatrix, tau_grid, registry=None,
+       stats: dict | None = None) -> list[float]:
     """Stationary g2(tau) by quantum regression.
 
     The seed a rho_ss ad is renormalized, evolved under the model Liouvillian,
     and probed with the number operator; g2(0) = <ad ad a a>/<ad a>^2 emerges
-    at the first grid point.
+    at the first grid point.  ``stats`` is passed on to ``integrate``.
     """
     reg = registry if registry is not None else model.registry
     liou = build_liouvillian(model, reg)
@@ -99,7 +100,8 @@ def g2(model, rho_ss: DensityMatrix, tau_grid, registry=None) -> list[float]:
     sigma0 = DensityMatrix(seed / seed_tr)
     taus = list(tau_grid)
     prepend = taus[0] != 0.0
-    states = integrate(liou, sigma0, ([0.0] + taus) if prepend else taus)
+    states = integrate(liou, sigma0, ([0.0] + taus) if prepend else taus,
+                       stats=stats)
     if prepend:
         states = states[1:]
     out = []

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import slhnet.cli
 from slhnet.cli import build_model, main, override_key
-from slhnet.lindblad import PhysicsValidationError
+from slhnet.lindblad import NumericalFailure, PhysicsValidationError
 from slhnet.netlist import parse
 
 NETLIST_DIR = Path(__file__).resolve().parent.parent / "netlists"
@@ -38,6 +39,13 @@ loop.p.phi = 0.0
 run.task = steady
 run.t_max = 3.0 us
 run.n_points = 7
+"""
+
+
+LOSSY_STEADY_NET = """
+mode.a = {dim}
+bath.loss.a = 1.0 rad_per_us
+run.task = steady
 """
 
 
@@ -119,6 +127,14 @@ class TestArtifacts:
         assert manifest["model_kind"] == "eliminated"
         rows = (out / "steady.csv").read_text().strip().splitlines()
         assert rows[1] == "mean_n,fano,delta,purity"
+        stats = manifest["integrator_stats"]
+        assert stats["method"] == "sparse-shift-invert"
+        assert stats["residual"] < 1e-9
+        assert stats["lambda2_abs"] > 0.0
+        again = run_cli(tmp_path, PUMPED_NET, sub="again")
+        capsys.readouterr()
+        assert (json.loads((again / "manifest.json").read_text())["content_hash"]
+                == manifest["content_hash"])
 
     def test_g2_task_outputs(self, tmp_path, capsys):
         text = PUMPED_NET.replace("run.task = steady", "run.task = g2")
@@ -128,6 +144,10 @@ class TestArtifacts:
         res = manifest["results"]
         assert res["g2_0"] > 0
         assert res["steady_mean_n"] > 0.05
+        stats = manifest["integrator_stats"]
+        assert stats["method"] == "regression+RK45"
+        assert stats["rhs_evaluations"] > 0
+        assert stats["steady_state"]["method"] == "sparse-shift-invert"
         csv = (out / "g2.csv").read_text().strip().splitlines()
         assert csv[1] == "tau_us,tau_over_taustar,g2"
         # tau normalization column is tau divided by the declared tau_star
@@ -199,15 +219,23 @@ class TestExitCodes:
         assert rc == 3
         assert "physics validation error" in capsys.readouterr().err
 
-    def test_numerical_failure_is_exit_four(self, tmp_path, capsys):
-        text = (
-            "mode.a = 121\nbath.loss.a = 1.0 rad_per_us\n"
-            "run.task = steady\n"
-        )
-        nl = write_net(tmp_path, text)
+    def test_numerical_failure_is_exit_four(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalFailure("steady-state candidate has vanishing trace")
+
+        monkeypatch.setattr(slhnet.cli, "steady_state", fail)
+        nl = write_net(tmp_path, LOSSY_STEADY_NET.format(dim=10))
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [50, 121])
+    def test_lossy_cavity_steady_state_is_vacuum(self, tmp_path, capsys, dim):
+        out = run_cli(tmp_path, LOSSY_STEADY_NET.format(dim=dim))
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["mean_n"] < 1e-9
+        assert manifest["integrator_stats"]["method"] == "sparse-shift-invert"
 
     def test_bad_truncation_override_is_exit_three(self, tmp_path, capsys):
         nl = write_net(tmp_path, EVOLVE_NET)

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from slhnet.algebra import ModeRegistry, OperatorExpr
 from slhnet.lindblad import (
@@ -19,11 +20,10 @@ from slhnet.lindblad import (
     fock_leak,
     integrate,
     partial_trace,
-    squeezed_dissipator,
+    squeezed_jumps,
     steady_state,
     to_matrix,
     trace_distance,
-    vacuum_dissipator,
 )
 from slhnet.network import (
     AmplifierParams,
@@ -91,34 +91,60 @@ class TestMatrixRealization:
             to_matrix(OperatorExpr.number(reg, "a"), reg)
 
 
+def zero_hamiltonian(dim: int) -> np.ndarray:
+    return np.zeros((dim, dim), dtype=complex)
+
+
+def vacuum_dissipator_reference(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """D[L]rho written out term by term."""
+    Ld = L.conj().T
+    return L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
+
+
+def squeezed_dissipator_reference(L, N, M, rho):
+    """The four-term squeezed-bath dissipator D_s[L]rho."""
+    Ld = L.conj().T
+    L2, Ld2 = L @ L, Ld @ Ld
+    return (
+        (N + 1) * vacuum_dissipator_reference(L, rho)
+        + N * vacuum_dissipator_reference(Ld, rho)
+        + np.conj(M) * (L @ rho @ L - 0.5 * (L2 @ rho + rho @ L2))
+        + M * (Ld @ rho @ Ld - 0.5 * (Ld2 @ rho + rho @ Ld2))
+    )
+
+
 class TestDissipators:
     def test_single_photon_decay_action(self):
         gamma = 0.7
         L = math.sqrt(gamma) * annihilation_matrix(3)
         rho1 = DensityMatrix.fock(3, 1).mat
-        out = vacuum_dissipator(L)(rho1)
+        out = Liouvillian(zero_hamiltonian(3), jumps=[L]).apply(rho1)
         expected = gamma * (DensityMatrix.fock(3, 0).mat - rho1)
         assert_close_matrices(out, expected, 1e-14, "decay")
 
     def test_zero_operator_gives_zero_map(self):
         rng = np.random.default_rng(3)
-        out = vacuum_dissipator(np.zeros((4, 4)))(random_density(4, rng))
+        liou = Liouvillian(zero_hamiltonian(4), jumps=[np.zeros((4, 4))])
+        out = liou.apply(random_density(4, rng))
         assert np.max(np.abs(out)) == 0.0
 
     def test_vacuum_dissipator_traceless(self):
         rng = np.random.default_rng(4)
         L = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        liou = Liouvillian(zero_hamiltonian(5), jumps=[L])
         for _ in range(20):
-            out = vacuum_dissipator(L)(random_density(5, rng))
+            out = liou.apply(random_density(5, rng))
             assert abs(np.trace(out)) < 1e-12
 
     def test_squeezed_reduces_to_vacuum_at_zero_bath(self):
         rng = np.random.default_rng(5)
         L = annihilation_matrix(6)
         rho = random_density(6, rng)
+        jumps = squeezed_jumps(L, 0.0, 0.0)
+        assert len(jumps) == 1
         assert_close_matrices(
-            squeezed_dissipator(L, 0.0, 0.0)(rho),
-            vacuum_dissipator(L)(rho),
+            Liouvillian(zero_hamiltonian(6), jumps=jumps).apply(rho),
+            Liouvillian(zero_hamiltonian(6), jumps=[L]).apply(rho),
             1e-14,
             "N=M=0 reduction",
         )
@@ -126,26 +152,88 @@ class TestDissipators:
     def test_squeezed_rejects_unphysical_bath(self):
         L = annihilation_matrix(4)
         with pytest.raises(PhysicsValidationError, match="unphysical"):
-            squeezed_dissipator(L, 0.5, 1.2)
+            squeezed_jumps(L, 0.5, 1.2)
 
     def test_squeezed_dissipator_traceless(self):
         rng = np.random.default_rng(6)
         L = annihilation_matrix(6)
-        term = squeezed_dissipator(L, 0.8, 0.6 + 0.2j)
+        liou = Liouvillian(zero_hamiltonian(6), jumps=squeezed_jumps(L, 0.8, 0.6 + 0.2j))
         for _ in range(20):
-            out = term(random_density(6, rng))
+            out = liou.apply(random_density(6, rng))
             assert abs(np.trace(out)) < 1e-12
 
 
 def squeezed_cavity_liouvillian(dim: int, gamma: float, N: float, M: complex):
     """Single lossy mode relaxing into a squeezed bath, H = 0."""
-    term = squeezed_dissipator(annihilation_matrix(dim), N, M)
-    return Liouvillian(
-        Hmat=np.zeros((dim, dim), dtype=complex),
-        channels=[],
-        dim=dim,
-        _terms=[(gamma, term)],
+    reg, a = single_mode(dim)
+    model = EffectiveModel(
+        H_eff=OperatorExpr.zero(reg),
+        channels=(
+            DissipationChannel(
+                op=a, bath=Bath.squeezed(N, M), rate_prefactor=gamma
+            ),
+        ),
+        registry=reg,
     )
+    return build_liouvillian(model, reg)
+
+
+def driven_squeezed_model(dim: int = 6):
+    """A Kerr oscillator with a drive, a vacuum channel and a squeezed
+    channel on the same mode, with the reference matrices of each part."""
+    reg, a = single_mode(dim)
+    n = a.adjoint() * a
+    N, M, rate_v, rate_s = 0.6, 0.3 - 0.4j, 0.7, 0.45
+    model = EffectiveModel(
+        H_eff=0.8 * n + 0.15 * n * n + 0.25 * (a + a.adjoint()),
+        channels=(
+            DissipationChannel(op=a, rate_prefactor=rate_v),
+            DissipationChannel(
+                op=a, bath=Bath.squeezed(N, M), rate_prefactor=rate_s
+            ),
+        ),
+        registry=reg,
+    )
+    return reg, model, (N, M, rate_v, rate_s)
+
+
+class TestJumpForm:
+    def test_apply_matches_sparse_superoperator(self):
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        S = liou.superoperator()
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            assert_close_matrices(
+                (S @ x.ravel()).reshape(6, 6), liou.apply(x), 1e-13, "S vec"
+            )
+
+    def test_apply_matches_four_term_dissipator(self):
+        reg, model, (N, M, rate_v, rate_s) = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        H = to_matrix(model.H_eff, reg)
+        L = annihilation_matrix(6)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            rho = random_density(6, rng)
+            want = (
+                -1j * (H @ rho - rho @ H)
+                + rate_v * vacuum_dissipator_reference(L, rho)
+                + rate_s * squeezed_dissipator_reference(L, N, M, rho)
+            )
+            assert_close_matrices(liou.apply(rho), want, 1e-13, "D_s")
+
+    def test_integrate_matches_exact_propagator(self):
+        """RK45 at rtol 1e-8 / atol 1e-10 against expm(S t) vec(rho0)."""
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        S = liou.superoperator().toarray()
+        rho0 = DensityMatrix.coherent(6, 0.6 - 0.3j)
+        t_grid = [0.0, 0.2, 0.9, 2.5, 6.0]
+        for t, st in zip(t_grid, integrate(liou, rho0, t_grid)):
+            exact = (expm(S * t) @ rho0.mat.ravel()).reshape(6, 6)
+            assert np.max(np.abs(st.mat - exact)) < 1e-7
 
 
 class TestSqueezedBathMoments:
@@ -275,9 +363,7 @@ class TestEliminationConsistency:
 class TestIntegration:
     def test_zero_generator_keeps_state_constant(self):
         dim = 5
-        liou = Liouvillian(
-            Hmat=np.zeros((dim, dim), dtype=complex), channels=[], dim=dim
-        )
+        liou = Liouvillian(zero_hamiltonian(dim))
         rho0 = DensityMatrix.coherent(dim, 0.4)
         for st in integrate(liou, rho0, [0.0, 1.0, 3.0]):
             assert_close_matrices(st.mat, rho0.mat, 1e-9, "constant")
@@ -301,17 +387,13 @@ class TestIntegration:
 
     def test_rejects_grid_not_starting_at_zero(self):
         dim = 3
-        liou = Liouvillian(
-            Hmat=np.zeros((dim, dim), dtype=complex), channels=[], dim=dim
-        )
+        liou = Liouvillian(zero_hamiltonian(dim))
         with pytest.raises(ValueError, match="start at 0"):
             integrate(liou, DensityMatrix.vacuum(dim), [0.5, 1.0])
 
     def test_rejects_non_increasing_grid(self):
         dim = 3
-        liou = Liouvillian(
-            Hmat=np.zeros((dim, dim), dtype=complex), channels=[], dim=dim
-        )
+        liou = Liouvillian(zero_hamiltonian(dim))
         with pytest.raises(ValueError, match="increasing"):
             integrate(liou, DensityMatrix.vacuum(dim), [0.0, 1.0, 1.0])
 
@@ -349,6 +431,22 @@ class TestSteadyState:
         rho = steady_state(build_liouvillian(model, reg))
         assert trace_distance(rho.mat, DensityMatrix.vacuum(dim).mat) < 1e-9
 
+    @pytest.mark.parametrize("dim", [50, 121])
+    def test_pure_decay_relaxes_to_vacuum(self, dim):
+        """H = 0 makes the kernel exact; the shift keeps S - sigma regular."""
+        reg, a = single_mode(dim)
+        model = EffectiveModel(
+            H_eff=OperatorExpr.zero(reg),
+            channels=(DissipationChannel(op=a, rate_prefactor=1.0),),
+            registry=reg,
+        )
+        stats: dict = {}
+        rho = steady_state(build_liouvillian(model, reg), stats=stats)
+        assert trace_distance(rho.mat, DensityMatrix.vacuum(dim).mat) < 1e-9
+        assert stats["method"] == "sparse-shift-invert"
+        assert stats["residual"] < 1e-9
+        assert stats["lambda2_abs"] > 0.1
+
     def test_steady_state_equals_long_time_limit(self):
         N, M, gamma, dim = 0.8, 0.6 + 0.2j, 1.3, 25
         liou = squeezed_cavity_liouvillian(dim, gamma, N, M)
@@ -368,6 +466,24 @@ class TestSteadyState:
         )
         with pytest.raises(PhysicsValidationError, match="degenerate"):
             steady_state(build_liouvillian(model, reg))
+
+    @pytest.mark.parametrize("dim,loss", [(4, 1e-12), (50, None), (50, 1e-12)])
+    def test_unresolved_kernel_reported(self, dim, loss):
+        """No channel, or a loss below 1e-9 of ||S||_1, leaves the kernel
+        degenerate to working precision."""
+        reg, a = single_mode(dim)
+        n = a.adjoint() * a
+        channels = () if loss is None else (
+            DissipationChannel(op=a, rate_prefactor=loss),
+        )
+        model = EffectiveModel(H_eff=0.7 * n + 0.05 * n * n,
+                               channels=channels, registry=reg)
+        with pytest.raises(PhysicsValidationError, match="degenerate"):
+            steady_state(build_liouvillian(model, reg))
+
+    def test_zero_generator_reported_degenerate(self):
+        with pytest.raises(PhysicsValidationError, match="degenerate"):
+            steady_state(Liouvillian(zero_hamiltonian(5)))
 
 
 class TestDiagnostics:
@@ -396,8 +512,6 @@ class TestDiagnostics:
 
     def test_dense_representation_guard(self):
         dim = 130
-        liou = Liouvillian(
-            Hmat=np.zeros((dim, dim), dtype=complex), channels=[], dim=dim
-        )
+        liou = Liouvillian(zero_hamiltonian(dim))
         with pytest.raises(NumericalFailure, match="refusing"):
             liou.as_dense()
