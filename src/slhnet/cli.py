@@ -9,7 +9,8 @@ Per run the output directory receives
   integrator statistics, results, content hash and timestamp;
 * ``summary.txt``: the effective model pretty-printed with every
   coefficient in both rad/us and MHz (frequency nu = omega / 2 pi)
-  plus headline results.
+  plus headline results, and a warning line when the truncation check
+  failed (the same line also goes to stderr).
 
 Exit codes: 0 success, 2 parse error, 3 physics validation error,
 4 numerical failure.
@@ -32,12 +33,14 @@ import numpy as np
 
 from .algebra import ModeRegistry, OperatorExpr
 from .lindblad import (
+    LEAK_THRESHOLD,
     DensityMatrix,
     NumericalFailure,
     PhysicsValidationError,
     build_liouvillian,
     fock_leak,
     integrate,
+    partial_trace,
     steady_state,
 )
 from .netlist import (
@@ -497,7 +500,25 @@ def _freq_row(name: str, value_rad_us: float):
 # Task runners
 # ---------------------------------------------------------------------------
 
-def _run_time_series(net, built, outdir, fmt, manifest):
+def _leak_report(manifest, notes, leak, rho, net) -> None:
+    """Record the truncation check of the state ``rho`` with the largest
+    leak; on failure add a warning naming the worst mode to ``notes``."""
+    manifest["leak_report"] = {"max_leak": leak, "threshold": LEAK_THRESHOLD,
+                               "within_threshold": leak < LEAK_THRESHOLD}
+    if leak < LEAK_THRESHOLD:
+        return
+    dims = net.registry.dims
+    per_mode = [fock_leak(partial_trace(rho, dims, (k,)), (d,))
+                for k, d in enumerate(dims)]
+    k = int(np.argmax(per_mode))
+    notes.append(
+        f"warning: truncation check failed: Fock leak {leak:.3g} exceeds "
+        f"threshold {LEAK_THRESHOLD:g} in mode {net.registry.labels[k]} "
+        f"(truncation {dims[k]})"
+    )
+
+
+def _run_time_series(net, built, outdir, fmt, manifest, notes):
     """evolve / fano / nongauss share one trajectory pipeline."""
     liou = build_liouvillian(built.model, net.registry)
     rho0 = _initial_state(net)
@@ -505,10 +526,10 @@ def _run_time_series(net, built, outdir, fmt, manifest):
     stats: dict = {}
     states = integrate(liou, rho0, t_grid, stats=stats)
     dims = net.registry.dims
-    leak_max = 0.0
+    leaks = []
     recs = []
     for t, st in zip(t_grid, states):
-        leak_max = max(leak_max, fock_leak(st.mat, dims))
+        leaks.append(fock_leak(st.mat, dims))
         f = fano_factor(st, dims, 0)
         delta = non_gaussianity(st, dims, 0)
         nbar = _mean_n(st, dims)
@@ -525,11 +546,8 @@ def _run_time_series(net, built, outdir, fmt, manifest):
         rows = [(t, n, f, d) for (t, n, f, d) in recs]
     peak_idx = max(range(len(recs)), key=lambda k: recs[k][3])
     manifest["integrator_stats"] = stats
-    manifest["leak_report"] = {
-        "max_leak": leak_max,
-        "threshold": 1e-6,
-        "within_threshold": leak_max < 1e-6,
-    }
+    worst = int(np.argmax(leaks))
+    _leak_report(manifest, notes, leaks[worst], states[worst].mat, net)
     manifest["results"] = {
         "final_t_us": t_grid[-1],
         "final_mean_n": recs[-1][1],
@@ -542,13 +560,11 @@ def _run_time_series(net, built, outdir, fmt, manifest):
 
 
 def _mean_n(st: DensityMatrix, dims) -> float:
-    from .lindblad import partial_trace
-
     red = st.mat if len(dims) == 1 else partial_trace(st.mat, dims, (0,))
     return float(np.diag(red).real @ np.arange(red.shape[0]))
 
 
-def _run_steady(net, built, outdir, fmt, manifest):
+def _run_steady(net, built, outdir, fmt, manifest, notes):
     liou = build_liouvillian(built.model, net.registry)
     stats: dict = {}
     rho = steady_state(liou, stats=stats)
@@ -559,8 +575,7 @@ def _run_steady(net, built, outdir, fmt, manifest):
     purity = float(np.trace(rho.mat @ rho.mat).real)
     leak = fock_leak(rho.mat, dims)
     manifest["integrator_stats"] = stats
-    manifest["leak_report"] = {"max_leak": leak, "threshold": 1e-6,
-                               "within_threshold": leak < 1e-6}
+    _leak_report(manifest, notes, leak, rho.mat, net)
     manifest["results"] = {
         "mean_n": nbar, "fano": f, "delta": delta, "purity": purity,
     }
@@ -569,7 +584,7 @@ def _run_steady(net, built, outdir, fmt, manifest):
     return columns, rows
 
 
-def _run_g2(net, built, outdir, fmt, manifest):
+def _run_g2(net, built, outdir, fmt, manifest, notes):
     if len(net.registry) != 1:
         raise PhysicsValidationError("g2 task supports single-mode netlists")
     liou = build_liouvillian(built.model, net.registry)
@@ -584,8 +599,7 @@ def _run_g2(net, built, outdir, fmt, manifest):
     leak = fock_leak(rho.mat, net.registry.dims)
     manifest["integrator_stats"] = {**stats, "method": "regression+RK45",
                                     "steady_state": steady_stats}
-    manifest["leak_report"] = {"max_leak": leak, "threshold": 1e-6,
-                               "within_threshold": leak < 1e-6}
+    _leak_report(manifest, notes, leak, rho.mat, net)
     manifest["results"] = {
         "g2_0": vals[0],
         "g2_max": max(vals),
@@ -718,13 +732,17 @@ def run_netlist(net: Netlist, outdir: Path, fmt: str = "csv",
     }
 
     built = None
+    notes: list[str] = []  # failed adequacy checks: stderr and summary.txt
     if task in _MODEL_TASKS:
         built = build_model(net)
         manifest["model_kind"] = built.kind
         manifest["model_info"] = built.info
-
-    runner = _MODEL_TASKS.get(task) or _COEFF_TASKS[task]
-    columns, rows = runner(net, built, outdir, fmt, manifest)
+        columns, rows = _MODEL_TASKS[task](net, built, outdir, fmt, manifest,
+                                           notes)
+    else:
+        columns, rows = _COEFF_TASKS[task](net, built, outdir, fmt, manifest)
+    for note in notes:
+        print(note, file=sys.stderr)
 
     manifest["content_hash"] = _content_hash(manifest)
     _write_table(outdir / task.value, columns, rows,
@@ -743,6 +761,7 @@ def run_netlist(net: Netlist, outdir: Path, fmt: str = "csv",
         "results: "
         + json.dumps(manifest.get("results", {}), sort_keys=True)
     )
+    summary_lines.extend(notes)
     summary = "\n".join(summary_lines) + "\n"
     (outdir / "summary.txt").write_text(summary)
     if not quiet:

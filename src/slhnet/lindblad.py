@@ -1,7 +1,13 @@
 """Truncated-Fock-space realization of effective models: operator matrices,
 the master-equation generator in jump form (every channel, squeezed baths
 included, as vacuum-form jump operators), RK45 time integration, and sparse
-steady states."""
+steady states.
+
+Integration and steady states work on real coordinates: a Hermitian rho is
+carried as x = vec(Re rho + Im rho), a real vector of length d^2 (row-major
+vec).  The map is orthogonal, so ||x||_2 = ||rho||_F, and every rho rebuilt
+from a real x is exactly Hermitian.  On these coordinates the generator is
+one real sparse matrix R (see ``Liouvillian``)."""
 from __future__ import annotations
 
 import logging
@@ -163,20 +169,71 @@ def squeezed_jumps(Lmat: np.ndarray, N: float, M: complex) -> list[np.ndarray]:
             for m, gm in enumerate(g) if gm > 0.0]
 
 
+def to_coords(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates x = vec(Re rho + Im rho) of a Hermitian rho."""
+    return (rho.real + rho.imag).ravel()
+
+
+def from_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian rho = ((1+i) M + (1-i) M^T) / 2 with M = x.reshape(d, d)."""
+    m = x.reshape(d, d)
+    return 0.5 * (m + m.T) + 0.5j * (m - m.T)
+
+
+def _real_generator(K: np.ndarray, jumps) -> sparse.csr_matrix:
+    """R = Re S + (Im S) P for S = K (x) 1 + 1 (x) conj(K) + sum C (x) conj(C),
+    with P the vec-transpose permutation, from real Kronecker products:
+
+        R = A + B P,  A = Kr (x) 1 + 1 (x) Kr + sum_C [Cr (x) Cr + Ci (x) Ci],
+                      B = Ki (x) 1 - 1 (x) Ki + sum_C [Ci (x) Cr - Cr (x) Ci].
+
+    Since (X (x) Y) P = P (Y (x) X), B P = -P B: a row permutation, which
+    keeps every row's column indices sorted.
+    """
+    d = K.shape[0]
+    eye = sparse.identity(d, format="csr")
+
+    def kron(X, Y):
+        return sparse.kron(X, Y, format="csr")
+
+    def split(X):
+        return sparse.csr_matrix(X.real), sparse.csr_matrix(X.imag)
+
+    Kr, Ki = split(K)
+    Cs = [split(C) for C in jumps]
+    # P B first, so that B is freed before A is built
+    B = kron(Ki, eye) - kron(eye, Ki)
+    for Cr, Ci in Cs:
+        B = B + kron(Ci, Cr) - kron(Cr, Ci)
+    PB = B[np.arange(d * d).reshape(d, d).T.ravel()]
+    del B
+    A = kron(Kr, eye) + kron(eye, Kr)
+    for Cr, Ci in Cs:
+        A = A + kron(Cr, Cr) + kron(Ci, Ci)
+    R = A - PB
+    R.sort_indices()
+    return R
+
+
 @dataclass
 class Liouvillian:
     """Master-equation generator in jump form: with jump operators C (rates
     folded in) and K = -iH - sum C^dag C / 2,
 
         L rho = K rho + rho K^dag + sum_C C rho C^dag.
+
+    ``R`` is L on the real coordinates of the module docstring: the real
+    sparse d^2 x d^2 matrix with to_coords(L rho) = R @ to_coords(rho),
+    assembled once (``_real_generator``).  ``apply`` is R @ x, the RK45
+    right-hand side.  The complex superoperator S on vec(rho) stays
+    available as a reference (``superoperator``, ``as_dense``).
     """
 
     Hmat: np.ndarray
     jumps: list = field(default_factory=list)
     dim: int = field(init=False)
     K: np.ndarray = field(init=False, repr=False)
-    _Kd: np.ndarray = field(init=False, repr=False)
-    _sandwich: list = field(init=False, repr=False)
+    R: sparse.csr_matrix = field(init=False, repr=False)
     _dense: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -184,15 +241,20 @@ class Liouvillian:
         self.K = -1j * np.asarray(self.Hmat, dtype=complex)
         for C in self.jumps:
             self.K -= 0.5 * (C.conj().T @ C)
-        self._Kd = self.K.conj().T
-        self._sandwich = [(C, C.conj().T) for C in self.jumps]
+        self.R = _real_generator(self.K, self.jumps)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = self.K @ rho
-        out += rho @ self._Kd
-        for C, Cd in self._sandwich:
-            out += C @ rho @ Cd
-        return out
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """L on real coordinates: to_coords(L rho) for x = to_coords(rho)."""
+        return self.R @ x
+
+    def generator_stats(self) -> dict:
+        """Stored entries of R and the bytes of its data, indices and indptr."""
+        R = self.R
+        return {
+            "generator_nnz": int(R.nnz),
+            "generator_bytes": int(R.data.nbytes + R.indices.nbytes
+                                   + R.indptr.nbytes),
+        }
 
     def superoperator(self) -> sparse.csr_matrix:
         """S = K (x) 1 + 1 (x) conj(K) + sum C (x) conj(C), so that
@@ -238,13 +300,10 @@ def build_liouvillian(model, registry: ModeRegistry) -> Liouvillian:
 
 
 def _validate_evolved(rho: np.ndarray, t: float) -> DensityMatrix:
+    """Checks a state rebuilt by ``from_coords`` (Hermitian by construction)."""
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
         raise NumericalFailure(f"trace drift {tr - 1:.3e} at t={t:g}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > 1e-9:
-        raise NumericalFailure(f"Hermiticity loss {herm:.3e} at t={t:g}")
-    rho = 0.5 * (rho + rho.conj().T)
     w = np.linalg.eigvalsh(rho)
     if w[0] < ABORT_FLOOR:
         raise NumericalFailure(
@@ -267,9 +326,11 @@ def _clip_to_psd(rho: np.ndarray) -> np.ndarray:
 def integrate(
     liou: Liouvillian, rho0: DensityMatrix, t_grid, stats: dict | None = None
 ) -> list[DensityMatrix]:
-    """Evolve rho0 along t_grid (strictly increasing from 0) with RK45.
+    """Evolve rho0 along t_grid (strictly increasing from 0) with RK45 on
+    the real coordinates x' = R x.
 
-    If ``stats`` is given, it receives the integrator's work counters.
+    If ``stats`` is given, it receives the integrator's work counters and
+    the size of R.
     """
     t_grid = list(t_grid)
     if t_grid[0] != 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
@@ -280,13 +341,13 @@ def integrate(
     gen = [liou]
 
     def rhs(t, y):
-        return gen[0].apply(y.reshape(d, d)).ravel()
+        return gen[0].apply(y)
 
     try:
         sol = solve_ivp(
             rhs,
             (0.0, t_grid[-1]),
-            rho0.mat.ravel().astype(complex),
+            to_coords(rho0.mat),
             t_eval=t_grid,
             method="RK45",
             atol=ATOL,
@@ -301,47 +362,51 @@ def integrate(
             accepted_points=int(sol.t.size),
             atol=ATOL,
             rtol=RTOL,
+            **liou.generator_stats(),
         )
     if not sol.success:
         raise NumericalFailure(f"integrator failed: {sol.message}")
     return [
-        _validate_evolved(sol.y[:, k].reshape(d, d), t)
+        _validate_evolved(from_coords(sol.y[:, k], d), t)
         for k, t in enumerate(t_grid)
     ]
 
 
 def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
-    """Kernel of the sparse superoperator S by ARPACK shift-invert.
+    """Kernel of the real generator R by ARPACK shift-invert.
 
-    The shift sigma = +1e-9 ||S||_1 keeps S - sigma regular, since no
-    eigenvalue of a Lindbladian has a positive real part.  A second
-    eigenvalue within 1e-9 ||S||_1 of zero means several steady states.
-    ``stats``, if given, receives the method, |lambda_2| and ||L rho||_F.
+    The shift sigma = +1e-9 ||R||_1 keeps R - sigma regular, since no
+    eigenvalue of a Lindbladian (R has the spectrum of S) has a positive
+    real part.  A second eigenvalue within 1e-9 ||R||_1 of zero means
+    several steady states.  ``stats``, if given, receives the method,
+    |lambda_2|, ||R x||_2 = ||L rho||_F and the size of R.
     """
     d = liou.dim
-    S = liou.superoperator()
-    scale = spla.norm(S, 1) or 1.0
+    R = liou.R
+    scale = spla.norm(R, 1) or 1.0
     sigma = 1e-9 * scale
     # a fixed start vector keeps the result, and so the manifests, reproducible
-    v0 = np.random.default_rng(0).standard_normal(d * d).astype(complex)
-    w, v = spla.eigs(S, k=2, sigma=sigma, which="LM", v0=v0)
+    v0 = np.random.default_rng(0).standard_normal(d * d)
+    w, v = spla.eigs(R, k=2, sigma=sigma, which="LM", v0=v0)
     order = np.argsort(np.abs(w))
     lam2 = float(abs(w[order[1]]))
     if lam2 < 1e-9 * scale:
         raise PhysicsValidationError(
             "degenerate Liouvillian kernel: multiple steady states"
         )
-    rho = v[:, order[0]].reshape(d, d)
-    rho = rho + rho.conj().T
-    tr = np.trace(rho)
+    # a real eigenvalue of a real matrix has a real eigenvector
+    x = v[:, order[0]].real
+    tr = np.trace(x.reshape(d, d))  # tr M = tr rho
     if abs(tr) < 1e-12:
         raise NumericalFailure("steady-state candidate has vanishing trace")
-    rho = rho / tr
-    res = float(np.linalg.norm(liou.apply(rho)))
+    x = x / tr
+    res = float(np.linalg.norm(liou.apply(x)))
     if res > 1e-9:
         warnings.warn(f"steady-state residual {res:.2e} above target")
     if stats is not None:
-        stats.update(method="sparse-shift-invert", lambda2_abs=lam2, residual=res)
+        stats.update(method="sparse-shift-invert", lambda2_abs=lam2, residual=res,
+                     **liou.generator_stats())
+    rho = from_coords(x, d)
     w0 = float(np.linalg.eigvalsh(rho)[0])
     if w0 < CLIP_FLOOR:
         return DensityMatrix(_clip_to_psd(rho), min_eig=0.0)

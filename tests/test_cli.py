@@ -12,7 +12,11 @@ import pytest
 
 import slhnet.cli
 from slhnet.cli import build_model, main, override_key
-from slhnet.lindblad import NumericalFailure, PhysicsValidationError
+from slhnet.lindblad import (
+    NumericalFailure,
+    PhysicsValidationError,
+    build_liouvillian,
+)
 from slhnet.netlist import parse
 
 NETLIST_DIR = Path(__file__).resolve().parent.parent / "netlists"
@@ -47,6 +51,29 @@ mode.a = {dim}
 bath.loss.a = 1.0 rad_per_us
 run.task = steady
 """
+
+# a coherent steady state with |alpha| = 4 cannot fit in 6 Fock levels; g2
+# runs no Gaussian-reference check, so only the leak check sees it
+UNDER_TRUNCATED_NET = """
+mode.a = 6
+plant.H = 2.0 rad_per_us * (a@a + ad@a)
+bath.loss.a = 1.0 rad_per_us
+run.task = g2
+run.t_max = 1.0 us
+run.n_points = 3
+"""
+
+
+def assert_generator_stats(stats: dict, text: str) -> None:
+    """The recorded size of R is that of the run's model, rebuilt."""
+    net = parse(text)
+    R = build_liouvillian(build_model(net).model, net.registry).R
+    assert stats["generator_nnz"] == R.nnz > 0
+    n = R.shape[0]
+    assert stats["generator_bytes"] == (
+        R.data.itemsize * R.nnz + R.indices.itemsize * R.nnz
+        + R.indptr.itemsize * (n + 1)
+    )
 
 
 def write_net(tmp_path: Path, text: str, name: str = "in.net") -> Path:
@@ -131,6 +158,7 @@ class TestArtifacts:
         assert stats["method"] == "sparse-shift-invert"
         assert stats["residual"] < 1e-9
         assert stats["lambda2_abs"] > 0.0
+        assert_generator_stats(stats, PUMPED_NET)
         again = run_cli(tmp_path, PUMPED_NET, sub="again")
         capsys.readouterr()
         assert (json.loads((again / "manifest.json").read_text())["content_hash"]
@@ -148,6 +176,12 @@ class TestArtifacts:
         assert stats["method"] == "regression+RK45"
         assert stats["rhs_evaluations"] > 0
         assert stats["steady_state"]["method"] == "sparse-shift-invert"
+        assert_generator_stats(stats, text)
+        assert_generator_stats(stats["steady_state"], text)
+        again = run_cli(tmp_path, text, sub="again")
+        capsys.readouterr()
+        assert (json.loads((again / "manifest.json").read_text())["content_hash"]
+                == manifest["content_hash"])
         csv = (out / "g2.csv").read_text().strip().splitlines()
         assert csv[1] == "tau_us,tau_over_taustar,g2"
         # tau normalization column is tau divided by the declared tau_star
@@ -232,10 +266,28 @@ class TestExitCodes:
     @pytest.mark.parametrize("dim", [50, 121])
     def test_lossy_cavity_steady_state_is_vacuum(self, tmp_path, capsys, dim):
         out = run_cli(tmp_path, LOSSY_STEADY_NET.format(dim=dim))
-        capsys.readouterr()
+        assert "warning" not in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["mean_n"] < 1e-9
         assert manifest["integrator_stats"]["method"] == "sparse-shift-invert"
+        assert manifest["leak_report"]["within_threshold"] is True
+        assert "warning" not in (out / "summary.txt").read_text()
+
+    def test_failed_truncation_check_is_reported(self, tmp_path, capsys):
+        """A failed leak check keeps exit 0 and the manifest, and says so on
+        stderr and in summary.txt."""
+        out = run_cli(tmp_path, UNDER_TRUNCATED_NET)
+        err = capsys.readouterr().err
+        report = json.loads((out / "manifest.json").read_text())["leak_report"]
+        assert report["within_threshold"] is False
+        assert set(report) == {"max_leak", "threshold", "within_threshold"}
+        warning = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warning) == 1
+        assert f"Fock leak {report['max_leak']:.3g}" in warning[0]
+        assert "threshold 1e-06" in warning[0]
+        assert "mode a (truncation 6)" in warning[0]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-1] == warning[0]
 
     def test_bad_truncation_override_is_exit_three(self, tmp_path, capsys):
         nl = write_net(tmp_path, EVOLVE_NET)

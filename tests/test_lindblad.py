@@ -18,10 +18,12 @@ from slhnet.lindblad import (
     annihilation_matrix,
     build_liouvillian,
     fock_leak,
+    from_coords,
     integrate,
     partial_trace,
     squeezed_jumps,
     steady_state,
+    to_coords,
     to_matrix,
     trace_distance,
 )
@@ -47,6 +49,11 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def act(liou: Liouvillian, rho: np.ndarray) -> np.ndarray:
+    """L rho through the real coordinates that ``apply`` works on."""
+    return from_coords(liou.apply(to_coords(rho)), liou.dim)
 
 
 class TestMatrixRealization:
@@ -118,14 +125,14 @@ class TestDissipators:
         gamma = 0.7
         L = math.sqrt(gamma) * annihilation_matrix(3)
         rho1 = DensityMatrix.fock(3, 1).mat
-        out = Liouvillian(zero_hamiltonian(3), jumps=[L]).apply(rho1)
+        out = act(Liouvillian(zero_hamiltonian(3), jumps=[L]), rho1)
         expected = gamma * (DensityMatrix.fock(3, 0).mat - rho1)
         assert_close_matrices(out, expected, 1e-14, "decay")
 
     def test_zero_operator_gives_zero_map(self):
         rng = np.random.default_rng(3)
         liou = Liouvillian(zero_hamiltonian(4), jumps=[np.zeros((4, 4))])
-        out = liou.apply(random_density(4, rng))
+        out = act(liou, random_density(4, rng))
         assert np.max(np.abs(out)) == 0.0
 
     def test_vacuum_dissipator_traceless(self):
@@ -133,7 +140,7 @@ class TestDissipators:
         L = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         liou = Liouvillian(zero_hamiltonian(5), jumps=[L])
         for _ in range(20):
-            out = liou.apply(random_density(5, rng))
+            out = act(liou, random_density(5, rng))
             assert abs(np.trace(out)) < 1e-12
 
     def test_squeezed_reduces_to_vacuum_at_zero_bath(self):
@@ -143,8 +150,8 @@ class TestDissipators:
         jumps = squeezed_jumps(L, 0.0, 0.0)
         assert len(jumps) == 1
         assert_close_matrices(
-            Liouvillian(zero_hamiltonian(6), jumps=jumps).apply(rho),
-            Liouvillian(zero_hamiltonian(6), jumps=[L]).apply(rho),
+            act(Liouvillian(zero_hamiltonian(6), jumps=jumps), rho),
+            act(Liouvillian(zero_hamiltonian(6), jumps=[L]), rho),
             1e-14,
             "N=M=0 reduction",
         )
@@ -159,7 +166,7 @@ class TestDissipators:
         L = annihilation_matrix(6)
         liou = Liouvillian(zero_hamiltonian(6), jumps=squeezed_jumps(L, 0.8, 0.6 + 0.2j))
         for _ in range(20):
-            out = liou.apply(random_density(6, rng))
+            out = act(liou, random_density(6, rng))
             assert abs(np.trace(out)) < 1e-12
 
 
@@ -198,15 +205,32 @@ def driven_squeezed_model(dim: int = 6):
 
 
 class TestJumpForm:
-    def test_apply_matches_sparse_superoperator(self):
+    def test_superoperator_matches_jump_form(self):
+        """S vec(x) = vec(K x + x K^dag + sum C x C^dag), x not Hermitian."""
         reg, model, _ = driven_squeezed_model()
         liou = build_liouvillian(model, reg)
         S = liou.superoperator()
+        K = liou.K
         rng = np.random.default_rng(21)
         for _ in range(5):
             x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            want = K @ x + x @ K.conj().T
+            for C in liou.jumps:
+                want += C @ x @ C.conj().T
             assert_close_matrices(
-                (S @ x.ravel()).reshape(6, 6), liou.apply(x), 1e-13, "S vec"
+                (S @ x.ravel()).reshape(6, 6), want, 1e-13, "S vec"
+            )
+
+    def test_apply_matches_sparse_superoperator(self):
+        """R to_coords(rho) rebuilds S vec(rho) on Hermitian rho."""
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        S = liou.superoperator()
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            rho = random_density(6, rng)
+            assert_close_matrices(
+                (S @ rho.ravel()).reshape(6, 6), act(liou, rho), 1e-13, "R"
             )
 
     def test_apply_matches_four_term_dissipator(self):
@@ -222,7 +246,11 @@ class TestJumpForm:
                 + rate_v * vacuum_dissipator_reference(L, rho)
                 + rate_s * squeezed_dissipator_reference(L, N, M, rho)
             )
-            assert_close_matrices(liou.apply(rho), want, 1e-13, "D_s")
+            assert_close_matrices(act(liou, rho), want, 1e-13, "D_s")
+            assert_close_matrices(
+                (liou.superoperator() @ rho.ravel()).reshape(6, 6), want,
+                1e-13, "S D_s",
+            )
 
     def test_integrate_matches_exact_propagator(self):
         """RK45 at rtol 1e-8 / atol 1e-10 against expm(S t) vec(rho0)."""
@@ -234,6 +262,58 @@ class TestJumpForm:
         for t, st in zip(t_grid, integrate(liou, rho0, t_grid)):
             exact = (expm(S * t) @ rho0.mat.ravel()).reshape(6, 6)
             assert np.max(np.abs(st.mat - exact)) < 1e-7
+
+    def test_every_rhs_evaluation_goes_through_apply(self, monkeypatch):
+        """The benchmark's tracer counts right-hand sides as the calls of
+        ``Liouvillian.apply`` made by ``integrate``."""
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        calls = []
+        apply = Liouvillian.apply
+
+        def counted(self, x):
+            calls.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(Liouvillian, "apply", counted)
+        stats: dict = {}
+        integrate(liou, DensityMatrix.coherent(6, 0.5), [0.0, 1.0, 3.0],
+                  stats=stats)
+        assert stats["rhs_evaluations"] > 0
+        assert len(calls) == stats["rhs_evaluations"]
+
+
+class TestRealCoordinates:
+    def test_round_trip_preserves_state_and_norm(self):
+        rng = np.random.default_rng(31)
+        for d in (1, 2, 5, 9):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = g + g.conj().T
+            x = to_coords(rho)
+            assert x.dtype == np.float64 and x.shape == (d * d,)
+            assert_close_matrices(from_coords(x, d), rho, 1e-15, "round trip")
+            assert abs(np.linalg.norm(x) - np.linalg.norm(rho)) < 1e-12
+
+    def test_rebuilt_state_is_exactly_hermitian(self):
+        rng = np.random.default_rng(32)
+        for d in (2, 5, 9):
+            rho = from_coords(rng.normal(size=d * d), d)
+            assert np.array_equal(rho, rho.conj().T)
+
+    def test_generator_storage(self):
+        """R is canonical CSR with contiguous float64 data: the fast matvec."""
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        R = liou.R
+        assert R.shape == (36, 36)
+        assert R.has_sorted_indices
+        assert R.data.dtype == np.float64
+        assert R.data.flags.c_contiguous
+        stats = liou.generator_stats()
+        assert stats["generator_nnz"] == R.nnz
+        assert stats["generator_bytes"] == (
+            R.data.nbytes + R.indices.nbytes + R.indptr.nbytes
+        )
 
 
 class TestSqueezedBathMoments:
@@ -309,7 +389,7 @@ class TestLiouvillianAssembly:
         rng = np.random.default_rng(7)
         for _ in range(25):
             rho = random_density(dim, rng)
-            assert abs(np.trace(liou.apply(rho))) < 1e-9 * np.linalg.norm(rho)
+            assert abs(np.trace(act(liou, rho))) < 1e-9 * np.linalg.norm(rho)
 
     def test_diagonal_hamiltonian_freezes_populations(self):
         """A Kerr-type Hamiltonian is diagonal in the Fock basis, so photon
