@@ -208,7 +208,7 @@ class OperatorExpr:
         return hash((self.registry, tuple(sorted(self.terms.items(), key=str))))
 
     def __repr__(self):
-        return f"OperatorExpr({to_text(self)})"
+        return f"OperatorExpr({format_operator(self)})"
 
 
 def _normal_order_product(m1: Monomial, m2: Monomial):
@@ -255,61 +255,39 @@ def is_hermitian(x: OperatorExpr, tol: float = 1e-12) -> bool:
     return (x - x.adjoint()).max_coeff() <= tol
 
 
-# -- textual round-trip format ----------------------------------------------
-def _fmt_float(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
+# -- canonical text (the netlist grammar; parse(format(x)) == x) -----------
+def format_complex(z: complex) -> str:
+    if z.imag == 0.0:
+        return repr(z.real)
+    if z.real == 0.0:
+        return f"{z.imag!r}j"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-def to_text(expr: OperatorExpr) -> str:
-    """Serialize to the round-trip format, e.g. ``(0,1)*[ad^2 a^1]@a``.
+def _fmt_coeff(c: complex) -> str:
+    if c.imag == 0.0:
+        if math.copysign(1.0, c.real) < 0:
+            return f"({c.real!r})"
+        return repr(c.real)
+    return f"({format_complex(c)})"
 
-    Terms sorted by monomial; the identity monomial renders as ``[1]``.
-    """
-    if expr.is_zero:
-        return "0"
+
+def format_operator(x: OperatorExpr) -> str:
+    """Canonical text of an operator over its registry (rad/us units)."""
+    if x.is_zero:
+        return "0.0"
     parts = []
-    for mono, c in sorted(expr.terms.items()):
-        factors = []
-        for (p, q), (lbl, _) in zip(mono, expr.registry.modes):
-            if p == 0 and q == 0:
-                continue
-            factors.append(f"[ad^{p} a^{q}]@{lbl}")
-        if not factors:
-            factors = ["[1]"]
-        coeff = f"({_fmt_float(c.real)},{_fmt_float(c.imag)})"
-        parts.append("*".join([coeff] + factors))
+    for mono, coeff in x.iter_terms():
+        factors = [_fmt_coeff(coeff)]
+        for (p, q), label in zip(mono, x.registry.labels):
+            if p == 1:
+                factors.append(f"ad@{label}")
+            elif p > 1:
+                factors.append(f"ad@{label}^{p}")
+            if q == 1:
+                factors.append(f"a@{label}")
+            elif q > 1:
+                factors.append(f"a@{label}^{q}")
+        parts.append(" * ".join(factors))
     return " + ".join(parts)
-
-
-def from_text(text: str, registry: ModeRegistry) -> OperatorExpr:
-    """Parse the round-trip format produced by to_text."""
-    text = text.strip()
-    if text == "0":
-        return OperatorExpr.zero(registry)
-    out: dict[Monomial, complex] = {}
-    for termtxt in text.split(" + "):
-        factors = termtxt.split("*")
-        coefftxt = factors[0].strip()
-        if not (coefftxt.startswith("(") and coefftxt.endswith(")")):
-            raise ValueError(f"bad coefficient {coefftxt!r} in term {termtxt!r}")
-        re_s, im_s = coefftxt[1:-1].split(",")
-        coeff = complex(float(re_s), float(im_s))
-        powers = [[0, 0] for _ in range(len(registry))]
-        for ftxt in factors[1:]:
-            ftxt = ftxt.strip()
-            if ftxt == "[1]":
-                continue
-            if "]@" not in ftxt or not ftxt.startswith("[ad^"):
-                raise ValueError(f"bad factor {ftxt!r} in term {termtxt!r}")
-            body, lbl = ftxt.split("]@")
-            p_s, q_s = body[1:].split(" ")
-            p = int(p_s.removeprefix("ad^"))
-            q = int(q_s.removeprefix("a^"))
-            k = registry.index(lbl)
-            powers[k][0] += p
-            powers[k][1] += q
-        mono = tuple((p, q) for p, q in powers)
-        out[mono] = out.get(mono, 0.0) + coeff
-    return OperatorExpr(registry, out)

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import ModeRegistry, OperatorExpr
+from .algebra import ModeRegistry, OperatorExpr, format_complex, format_operator
 from .network import AmplifierParams, NetworkError
 
 TWO_PI = 2.0 * math.pi
@@ -87,7 +87,7 @@ class StateSpec:
             return "vacuum"
         if self.kind == "fock":
             return f"fock:{self.n}"
-        return f"coherent:{_fmt_complex_plain(self.alpha)}"
+        return f"coherent:{format_complex(self.alpha)}"
 
 
 @dataclass(frozen=True)
@@ -328,15 +328,6 @@ _LABEL_RE = re.compile(r"^[A-Za-z_]\w*$")
 def _strip_comment(line: str) -> str:
     k = line.find("#")
     return line if k < 0 else line[:k]
-
-
-def _fmt_complex_plain(z: complex) -> str:
-    if z.imag == 0.0:
-        return repr(z.real)
-    if z.real == 0.0:
-        return f"{z.imag!r}j"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
 class _Parser:
@@ -691,34 +682,6 @@ def parse(text: str) -> Netlist:
 # ---------------------------------------------------------------------------
 # Canonical formatter (round-trip: parse(format(n)) == n)
 # ---------------------------------------------------------------------------
-
-def _fmt_coeff(c: complex) -> str:
-    if c.imag == 0.0:
-        if math.copysign(1.0, c.real) < 0:
-            return f"({c.real!r})"
-        return repr(c.real)
-    return f"({_fmt_complex_plain(c)})"
-
-
-def format_operator(x: OperatorExpr) -> str:
-    """Canonical text of an operator over its registry (rad/us units)."""
-    if x.is_zero:
-        return "0.0"
-    parts = []
-    for mono, coeff in x.iter_terms():
-        factors = [_fmt_coeff(coeff)]
-        for (p, q), label in zip(mono, x.registry.labels):
-            if p == 1:
-                factors.append(f"ad@{label}")
-            elif p > 1:
-                factors.append(f"ad@{label}^{p}")
-            if q == 1:
-                factors.append(f"a@{label}")
-            elif q > 1:
-                factors.append(f"a@{label}^{q}")
-        parts.append(" * ".join(factors))
-    return " + ".join(parts)
-
 
 def format_netlist(net: Netlist) -> str:
     """Canonical netlist text; parsing it reproduces the same AST."""

@@ -13,7 +13,6 @@ from .lindblad import (
     DensityMatrix,
     PhysicsValidationError,
     annihilation_matrix,
-    build_liouvillian,
     integrate,
     partial_trace,
 )
@@ -74,20 +73,20 @@ def fano_factor(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0) -> fl
     return var / mean
 
 
-def g2(model, rho_ss: DensityMatrix, tau_grid, registry=None,
+def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
        stats: dict | None = None) -> list[float]:
     """Stationary g2(tau) by quantum regression.
 
-    The seed a rho_ss ad is renormalized, evolved under the model Liouvillian,
-    and probed with the number operator; g2(0) = <ad ad a a>/<ad a>^2 emerges
-    at the first grid point.  ``stats`` is passed on to ``integrate``.
+    The seed a rho_ss ad is renormalized, evolved under the model's
+    Liouvillian ``liou``, and probed with the number operator; g2(0) =
+    <ad ad a a>/<ad a>^2 emerges at the first grid point.  ``dims`` are the
+    model's mode truncations (one mode only).  ``stats`` is passed on to
+    ``integrate``.
     """
-    reg = registry if registry is not None else model.registry
-    liou = build_liouvillian(model, reg)
     d = liou.dim
     if rho_ss.dim != d:
         raise PhysicsValidationError("steady state dimension mismatch with model")
-    if len(reg) != 1:
+    if len(dims) != 1:
         raise PhysicsValidationError("g2 supports single-mode models")
     a = annihilation_matrix(d)
     nmat = a.conj().T @ a

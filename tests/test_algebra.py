@@ -12,9 +12,7 @@ from slhnet.algebra import (
     RegistryMismatch,
     adjoint,
     commutator,
-    from_text,
     is_hermitian,
-    to_text,
 )
 from slhnet.lindblad import to_matrix
 
@@ -106,14 +104,6 @@ class TestAlgebraLaws:
     def test_hermitian_symmetrization(self, x):
         assert is_hermitian(x + adjoint(x), tol=1e-9)
         assert is_hermitian(1j * (x - adjoint(x)), tol=1e-9)
-
-
-class TestTextRoundTrip:
-    @settings(max_examples=40, deadline=None)
-    @given(operator_exprs(REG))
-    def test_round_trip(self, x):
-        back = from_text(to_text(x), REG)
-        assert (back - x).max_coeff() <= 1e-12 * max(x.max_coeff(), 1.0)
 
 
 class TestRegistryGuards:

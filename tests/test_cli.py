@@ -10,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-import slhnet.cli
-from slhnet.cli import build_model, main, override_key
+import slhnet.pipeline
+from slhnet.cli import main
 from slhnet.lindblad import (
     NumericalFailure,
     PhysicsValidationError,
     build_liouvillian,
 )
 from slhnet.netlist import parse
+from slhnet.pipeline import build_model, override_key
 
 NETLIST_DIR = Path(__file__).resolve().parent.parent / "netlists"
 TWO_PI = 2.0 * math.pi
@@ -257,7 +258,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise NumericalFailure("steady-state candidate has vanishing trace")
 
-        monkeypatch.setattr(slhnet.cli, "steady_state", fail)
+        monkeypatch.setattr(slhnet.pipeline, "steady_state", fail)
         nl = write_net(tmp_path, LOSSY_STEADY_NET.format(dim=10))
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 4

@@ -5,15 +5,18 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from slhnet.algebra import ModeRegistry, OperatorExpr
+from slhnet.netlist import parse
 from slhnet.network import (
     AmplifierParams,
     FeedbackLoopSpec,
     NetworkError,
     SLHTriple,
+    _compose_loop_direct,
     amplifier_slh,
     compose_loop_full,
     cross_kerr_coefficient,
@@ -25,12 +28,17 @@ from slhnet.network import (
     self_feedback,
     series_product,
 )
+from slhnet.pipeline import loop_spec
 
 TWO_PI = 2.0 * math.pi
 REG = ModeRegistry((("a", 10),))
 A_OP = OperatorExpr.annihilation(REG, "a")
 N_OP = OperatorExpr.number(REG, "a")
 X_OP = OperatorExpr.position(REG, "a")
+ORACLE_NET = parse(
+    (Path(__file__).resolve().parent.parent / "netlists" / "oracle_linear.net")
+    .read_text()
+)
 
 
 def random_operator(rng, registry=REG, max_degree=2):
@@ -222,23 +230,34 @@ class TestEliminateAmplifier:
             assert abs(ch * ch - sh * sh - 1.0) < 1e-9
 
     def test_matches_full_composition_hamiltonian_structure(self):
-        """compose_loop_full carries an internal consistency check between
-        the chained series products and the direct transcription; building
-        it must succeed for generic parameters."""
-        amp = AmplifierParams(kappa=40.0, xi=10.0)
-        spec = FeedbackLoopSpec(
-            plant_H=2.0 * N_OP,
-            theta=0.3,
-            L=A_OP,
-            L_f=0.5 * X_OP,
-            amp=amp,
-            A=0.25,
-            phi=0.9,
+        """The chained series products equal the directly expanded loop
+        composite in H, L and the scattering phase: on a generic loop, on
+        the oracle_linear.net loop, and on a loop with a complex plant H
+        and complex couplings at a phase away from the real axis."""
+        specs = (
+            FeedbackLoopSpec(
+                plant_H=2.0 * N_OP, theta=0.3, L=A_OP, L_f=0.5 * X_OP,
+                amp=AmplifierParams(kappa=40.0, xi=10.0), A=0.25, phi=0.9,
+            ),
+            loop_spec(ORACLE_NET.loops[0], ORACLE_NET.plant_H),
+            FeedbackLoopSpec(
+                plant_H=0.7 * N_OP + (0.3 - 0.4j) * A_OP * A_OP
+                + (0.3 + 0.4j) * A_OP.adjoint() * A_OP.adjoint(),
+                theta=-2.1, L=(0.8 + 0.6j) * A_OP + 0.2 * N_OP,
+                L_f=(0.1 - 0.3j) * A_OP.adjoint(),
+                amp=AmplifierParams.from_gain(5.0, kappa=30.0),
+                A=0.4, phi=-1.2,
+            ),
         )
-        comp = compose_loop_full(spec, amp_dim=8, amp_label="c")
-        assert len(comp.registry) == 2
-        # the composite is a legal SLH triple with hermitian H
-        assert (comp.H - comp.H.adjoint()).max_coeff() < 1e-10
+        for spec in specs:
+            comp = compose_loop_full(spec, amp_dim=8, amp_label="c")
+            assert len(comp.registry) == 2
+            ref = _compose_loop_direct(spec, comp.registry, "c")
+            assert (comp.H - ref.H).max_coeff() <= 1e-12
+            assert (comp.L - ref.L).max_coeff() <= 1e-12
+            assert abs(comp.theta - ref.theta) <= 1e-12
+            # the composite is a legal SLH triple with hermitian H
+            assert (comp.H - comp.H.adjoint()).max_coeff() < 1e-10
 
     def test_drive_displacement_closed_form(self):
         """beta = -A[(1+e^{r0}) sin(phi) + i (1+e^{-r0}) cos(phi)] is the
