@@ -1,21 +1,28 @@
 """Truncated-Fock-space realization of effective models: operator matrices,
 the master-equation generator in jump form (every channel, squeezed baths
-included, as vacuum-form jump operators), RK45 time integration, and sparse
+included, as vacuum-form jump operators), time integration, and sparse
 steady states.
 
 Integration and steady states work on real coordinates: a Hermitian rho is
 carried as x = vec(Re rho + Im rho), a real vector of length d^2 (row-major
 vec).  The map is orthogonal, so ||x||_2 = ||rho||_F, and every rho rebuilt
 from a real x is exactly Hermitian.  On these coordinates the generator is
-one real sparse matrix R (see ``Liouvillian``)."""
+one real sparse matrix R (see ``Liouvillian``).
+
+``integrate`` picks its propagator from a bound on the numerical range of
+R (``Liouvillian.range_box``): a Chebyshev expansion of exp(R dt) with a
+certified degree when the Hamiltonian part dominates, RK45 otherwise.  Both
+apply R only through ``Liouvillian.apply``."""
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import sparse, special
 from scipy.integrate import solve_ivp
 from scipy.sparse import linalg as spla
 
@@ -30,6 +37,14 @@ DIM_CAP = 4096
 CLIP_FLOOR = -1e-8
 ABORT_FLOOR = -1e-7
 LEAK_THRESHOLD = 1e-6
+# certified bound on each Chebyshev sub-step's truncation error, relative to
+# ||x||_2, and the Crouzeix-Palencia constant ||f(A)|| <= (1 + sqrt 2) max_W |f|
+CHEBYSHEV_TOL = 1e-12
+CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
+# log of the largest growth rho^K (1 + sqrt(2K)) whose rounding, at machine
+# epsilon, still stays within CHEBYSHEV_TOL (see ``_chebyshev_plan``)
+LOG_ROUNDING_BUDGET = math.log(
+    CHEBYSHEV_TOL / (CROUZEIX_PALENCIA * float(np.finfo(float).eps)))
 
 
 class PhysicsValidationError(ValueError):
@@ -224,9 +239,10 @@ class Liouvillian:
 
     ``R`` is L on the real coordinates of the module docstring: the real
     sparse d^2 x d^2 matrix with to_coords(L rho) = R @ to_coords(rho),
-    assembled once (``_real_generator``).  ``apply`` is R @ x, the RK45
-    right-hand side.  The complex superoperator S on vec(rho) stays
-    available as a reference (``superoperator``, ``as_dense``).
+    assembled once (``_real_generator``).  ``apply`` is R @ x, the one
+    product with R that ``integrate`` makes, whichever propagator runs.  The
+    complex superoperator S on vec(rho) stays available as a reference
+    (``superoperator``, ``as_dense``).
     """
 
     Hmat: np.ndarray
@@ -246,6 +262,23 @@ class Liouvillian:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """L on real coordinates: to_coords(L rho) for x = to_coords(rho)."""
         return self.R @ x
+
+    def range_box(self) -> tuple[float, float]:
+        """(spread(H), delta) with W(R) inside |Re z| <= delta,
+        |Im z| <= spread(H) + delta, from d x d quantities only.
+
+        R = R_H + R_D.  R_H is real skew with ||R_H||_2 = E_max - E_min;
+        ||R_D||_2 <= delta = ||sum C^dag C||_2 + sum ||C||_2^2, from the
+        terms K_D (x) 1, 1 (x) conj(K_D) and C (x) conj(C) of S.
+        """
+        energies = np.linalg.eigvalsh(self.Hmat)
+        spread = float(energies[-1] - energies[0])
+        if not self.jumps:
+            return spread, 0.0
+        gram = [C.conj().T @ C for C in self.jumps]
+        delta = float(np.linalg.eigvalsh(sum(gram))[-1]
+                      + sum(np.linalg.eigvalsh(g)[-1] for g in gram))
+        return spread, delta
 
     def generator_stats(self) -> dict:
         """Stored entries of R and the bytes of its data, indices and indptr."""
@@ -326,16 +359,33 @@ def _clip_to_psd(rho: np.ndarray) -> np.ndarray:
 def integrate(
     liou: Liouvillian, rho0: DensityMatrix, t_grid, stats: dict | None = None
 ) -> list[DensityMatrix]:
-    """Evolve rho0 along t_grid (strictly increasing from 0) with RK45 on
-    the real coordinates x' = R x.
+    """Evolve rho0 along t_grid (strictly increasing from 0) on the real
+    coordinates x' = R x.
 
-    If ``stats`` is given, it receives the integrator's work counters and
-    the size of R.
+    With (spread, delta) = ``liou.range_box()``, a Hamiltonian-dominated
+    generator (spread > delta) is propagated by ``_chebyshev``, to a
+    certified truncation error of at most CHEBYSHEV_TOL per sub-step; any
+    other by RK45 at ATOL / RTOL, whose steps an almost imaginary spectrum
+    would make tiny.  If ``stats`` is given, it receives the method, its
+    work counters, the range box and the size of R.
     """
     t_grid = list(t_grid)
     if t_grid[0] != 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing and start at 0")
-    d = liou.dim
+    spread, delta = liou.range_box()
+    x0 = to_coords(rho0.mat)
+    if spread > delta:
+        xs, work = _chebyshev(liou, x0, t_grid, spread, delta)
+    else:
+        xs, work = _rk45(liou, x0, t_grid)
+    if stats is not None:
+        stats.update(work, hamiltonian_spread=spread, dissipative_bound=delta,
+                     **liou.generator_stats())
+    return [_validate_evolved(from_coords(x, liou.dim), t)
+            for x, t in zip(xs, t_grid)]
+
+
+def _rk45(liou, x0, t_grid) -> tuple[np.ndarray, dict]:
     # solve_ivp's solver is left in a reference cycle through rhs: drop the
     # generator from it so it is not kept until the next full collection
     gen = [liou]
@@ -344,32 +394,132 @@ def integrate(
         return gen[0].apply(y)
 
     try:
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_grid[-1]),
-            to_coords(rho0.mat),
-            t_eval=t_grid,
-            method="RK45",
-            atol=ATOL,
-            rtol=RTOL,
-        )
+        sol = solve_ivp(rhs, (0.0, t_grid[-1]), x0, t_eval=t_grid,
+                        method="RK45", atol=ATOL, rtol=RTOL)
     finally:
         gen.clear()
-    if stats is not None:
-        stats.update(
-            method="RK45",
-            rhs_evaluations=int(sol.nfev),
-            accepted_points=int(sol.t.size),
-            atol=ATOL,
-            rtol=RTOL,
-            **liou.generator_stats(),
-        )
     if not sol.success:
         raise NumericalFailure(f"integrator failed: {sol.message}")
-    return [
-        _validate_evolved(from_coords(sol.y[:, k], d), t)
-        for k, t in enumerate(t_grid)
-    ]
+    return sol.y.T, dict(method="RK45", rhs_evaluations=int(sol.nfev),
+                         accepted_points=int(sol.t.size), atol=ATOL, rtol=RTOL)
+
+
+def _chebyshev(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
+    """Tal-Ezer & Kosloff propagation with A = R / c, c = spread + delta.
+
+    W(A) lies in the box |Re z| <= delta / c, |Im z| <= 1, so with z = i w,
+    exp(l A) = J_0(l) + sum_k 2 J_k(l) i^k T_k(-i A), l = c dt, and
+    phi_k = i^k T_k(-i A) v obeys the real recurrence
+    phi_{k+1} = (2/c) R phi_k + phi_{k-1}.  The box lies inside the
+    Bernstein ellipse E_rho through its corner 1 + i delta / c, where
+    |T_k| <= rho^k, so by Crouzeix-Palencia (SIAM J. Matrix Anal. Appl. 38,
+    649 (2017)) dropping the terms k >= K costs at most
+    (1 + sqrt 2) sum_{k>=K} 2 |J_k(l)| rho^k (``_degree``).
+    """
+    c = spread + delta
+    eps = delta / c
+    log_rho = math.acosh((eps + math.sqrt(4.0 + eps * eps)) / 2.0)
+    x = x0
+    xs = [x]
+    products = substeps = degree = 0
+    bound = 0.0
+    plans: dict = {}  # grid spacings repeat, up to rounding
+    for t0, t1 in zip(t_grid, t_grid[1:]):
+        ell = c * (t1 - t0)
+        if ell not in plans:
+            plans[ell] = _chebyshev_plan(ell, log_rho)
+        m, coef, err = plans[ell]
+        for _ in range(m):
+            x = _chebyshev_step(liou, x, coef, c)
+        xs.append(x)
+        products += m * (len(coef) - 1)
+        substeps += m
+        degree = max(degree, len(coef) - 1)
+        bound += m * err
+    return xs, dict(method="chebyshev", rhs_evaluations=products,
+                    steps=len(t_grid) - 1, substeps=substeps, degree=degree,
+                    tolerance=CHEBYSHEV_TOL, truncation_bound=bound)
+
+
+def _chebyshev_step(liou, x, coef, c) -> np.ndarray:
+    """sum_k coef[k] phi_k with phi_0 = x: len(coef) - 1 products with R."""
+    y = coef[0] * x
+    if len(coef) > 1:
+        prev, cur = x, liou.apply(x) / c
+        y += coef[1] * cur
+        for ck in coef[2:]:
+            prev, cur = cur, (2.0 / c) * liou.apply(cur) + prev
+            y += ck * cur
+    return y
+
+
+def _degree(ell: float, log_rho: float) -> tuple[int, float]:
+    """Smallest K with (1 + sqrt 2) sum_{k>=K} 2 |J_k(ell)| rho^k <= TOL,
+    and that bound.
+
+    The sum runs to n = e ell rho / 2 + 60 with |J_k| from ``jv``.  Where
+    ``jv`` underflows (k > ell), Kapteyn's inequality (DLMF 10.14.8)
+    |J_k(k z)| <= (z e^s / (1 + s))^k, s = sqrt(1 - z^2), or
+    |J_k(ell)| <= (ell/2)^k / k!, whichever is smaller, stands in.  The
+    latter also closes the sum past n: with y = ell rho / 2 <= (n + 2) / 2
+    its terms fall at least by half each, so they add up to at most
+    4 y^(n+1) / (n+1)!.  Everything is summed in logarithms, so a large
+    rho^ell cannot overflow.
+    """
+    log_y = math.log(ell / 2.0) + log_rho
+    n = int(math.e * math.exp(log_y)) + 60
+    k = np.arange(n + 1)
+    jk = np.abs(special.jv(k, ell))
+    z = ell / np.maximum(k, ell)  # Kapteyn needs k >= ell; else |J_k| <= 1
+    root = np.sqrt(1.0 - z * z)
+    kapteyn = k * (np.log(z) + root - np.log1p(root))
+    factorial = k * math.log(ell / 2.0) - special.gammaln(k + 1)
+    log_j = np.where(jk > 1e-280, np.log(np.maximum(jk, 1e-300)),
+                     np.minimum(kapteyn, factorial))
+    log_terms = math.log(2.0) + log_j + k * log_rho
+    log_rest = math.log(4.0) + (n + 1) * log_y - math.lgamma(n + 2)
+    log_tails = np.logaddexp(np.logaddexp.accumulate(log_terms[::-1])[::-1],
+                             log_rest)
+    log_bounds = math.log(CROUZEIX_PALENCIA) + log_tails
+    K = int(np.argmax(log_bounds <= math.log(CHEBYSHEV_TOL)))
+    return K, math.exp(log_bounds[K])
+
+
+def _chebyshev_plan(ell: float, log_rho: float) -> tuple[int, np.ndarray, float]:
+    """(m, coefficients, bound) of an interval ell = c dt cut into m equal
+    sub-steps, with m minimizing the products m K(ell / m) among the stable
+    counts from the fewest, m_lo, to 2 m_lo.
+
+    A sub-step is stable when the rounding of its sum stays within the
+    tolerance: ||phi_k|| <= (1 + sqrt 2) rho^k ||x|| (Crouzeix-Palencia
+    again) and sum_{k<K} |c_k| <= 1 + sqrt(2 K), since J_0^2 + 2 sum_k J_k^2
+    = 1, so the kept terms are summed to about
+    eps (1 + sqrt 2) rho^K (1 + sqrt(2 K)).  A long interval has to be cut:
+    rho^ell grows without limit, and with it both that rounding and the
+    degree per unit of ell.  Since K(l) > l, no count below
+    ell log_rho / LOG_ROUNDING_BUDGET is stable; m_lo is found from there
+    by doubling and bisection.
+    """
+    degree = functools.cache(lambda m: _degree(ell / m, log_rho)[0])
+
+    def stable(m: int) -> bool:
+        K = degree(m)
+        return K * log_rho + math.log1p(math.sqrt(2 * K)) <= LOG_ROUNDING_BUDGET
+
+    lo = hi = max(1, math.ceil(ell * log_rho / LOG_ROUNDING_BUDGET))
+    while not stable(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stable(mid):
+            hi = mid
+        else:
+            lo = mid
+    m = min(range(hi, 2 * hi + 1), key=lambda j: (j * degree(j), j))
+    K, err = _degree(ell / m, log_rho)
+    coef = special.jv(np.arange(K), ell / m)
+    coef[1:] *= 2.0
+    return m, coef, err
 
 
 def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:

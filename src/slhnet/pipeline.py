@@ -510,7 +510,7 @@ def _run_g2(net: Netlist) -> Result:
     columns = ("tau_us", "tau_over_taustar", "g2")
     rows = [(t, t / tau_star, v) for t, v in zip(taus, vals)]
     report, notes = _leak_check(net, fock_leak(rho.mat, dims), rho.mat)
-    stats = {**stats, "method": "regression+RK45",
+    stats = {**stats, "method": "regression+" + stats["method"],
              "steady_state": steady_stats}
     results = {
         "g2_0": vals[0],

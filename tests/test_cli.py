@@ -46,6 +46,26 @@ run.t_max = 3.0 us
 run.n_points = 7
 """
 
+# a Kerr oscillator whose Hamiltonian spread (110 rad/us at d = 12) exceeds
+# the dissipative bound (11 rad/us): ``integrate`` takes the Chebyshev path
+KERR_NONGAUSS_NET = """
+mode.a = 12
+plant.H = 1.0 rad_per_us * ad@a^2 * a@a^2
+bath.loss.a = 0.5 rad_per_us
+run.task = nongauss
+run.t_max = 0.5 us
+run.n_points = 6
+run.initial_state = coherent:0.5
+"""
+
+KERR_G2_NET = """
+mode.a = 12
+plant.H = 1.0 rad_per_us * ad@a^2 * a@a^2 + 0.5 rad_per_us * (a@a + ad@a)
+bath.loss.a = 0.5 rad_per_us
+run.task = g2
+run.t_max = 2.0 us
+run.n_points = 5
+"""
 
 LOSSY_STEADY_NET = """
 mode.a = {dim}
@@ -189,6 +209,25 @@ class TestArtifacts:
         first = csv[2].split(",")
         tau, norm = float(first[0]), float(first[1])
         assert norm == pytest.approx(tau / res["tau_star_us"], abs=1e-12)
+
+    def test_hamiltonian_dominated_g2_reports_chebyshev(self, tmp_path, capsys):
+        out = run_cli(tmp_path, KERR_G2_NET)
+        capsys.readouterr()
+        stats = json.loads((out / "manifest.json").read_text())["integrator_stats"]
+        assert stats["method"] == "regression+chebyshev"
+        assert stats["hamiltonian_spread"] > stats["dissipative_bound"]
+        assert stats["steady_state"]["method"] == "sparse-shift-invert"
+
+    def test_chebyshev_runs_are_byte_identical(self, tmp_path, capsys):
+        out1 = run_cli(tmp_path, KERR_NONGAUSS_NET, sub="out1")
+        out2 = run_cli(tmp_path, KERR_NONGAUSS_NET, sub="out2")
+        capsys.readouterr()
+        m1 = json.loads((out1 / "manifest.json").read_text())
+        m2 = json.loads((out2 / "manifest.json").read_text())
+        assert m1["integrator_stats"]["method"] == "chebyshev"
+        assert m1["content_hash"] == m2["content_hash"]
+        assert ((out1 / "nongauss.csv").read_bytes()
+                == (out2 / "nongauss.csv").read_bytes())
 
 
 class TestUnitIdentities:

@@ -4,6 +4,7 @@ and steady states, checked against closed-form moment dynamics."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,12 +186,17 @@ def squeezed_cavity_liouvillian(dim: int, gamma: float, N: float, M: complex):
     return build_liouvillian(model, reg)
 
 
-def driven_squeezed_model(dim: int = 6):
+def driven_squeezed_model(dim: int = 6, damping: float = 1.0):
     """A Kerr oscillator with a drive, a vacuum channel and a squeezed
-    channel on the same mode, with the reference matrices of each part."""
+    channel on the same mode, with the reference matrices of each part.
+
+    At d = 6 the spread of H is 7.96 against a dissipative bound of 16.5
+    times ``damping``: ``integrate`` runs RK45 at damping 1 and the
+    Chebyshev propagator at damping 0.1."""
     reg, a = single_mode(dim)
     n = a.adjoint() * a
-    N, M, rate_v, rate_s = 0.6, 0.3 - 0.4j, 0.7, 0.45
+    N, M = 0.6, 0.3 - 0.4j
+    rate_v, rate_s = 0.7 * damping, 0.45 * damping
     model = EffectiveModel(
         H_eff=0.8 * n + 0.15 * n * n + 0.25 * (a + a.adjoint()),
         channels=(
@@ -252,21 +258,32 @@ class TestJumpForm:
                 1e-13, "S D_s",
             )
 
-    def test_integrate_matches_exact_propagator(self):
-        """RK45 at rtol 1e-8 / atol 1e-10 against expm(S t) vec(rho0)."""
-        reg, model, _ = driven_squeezed_model()
+    def check_against_exact_propagator(self, damping, method, tol):
+        """``integrate`` against expm(S t) vec(rho0) on a non-uniform grid."""
+        reg, model, _ = driven_squeezed_model(damping=damping)
         liou = build_liouvillian(model, reg)
         S = liou.superoperator().toarray()
         rho0 = DensityMatrix.coherent(6, 0.6 - 0.3j)
         t_grid = [0.0, 0.2, 0.9, 2.5, 6.0]
-        for t, st in zip(t_grid, integrate(liou, rho0, t_grid)):
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == method
+        for t, st in zip(t_grid, states):
             exact = (expm(S * t) @ rho0.mat.ravel()).reshape(6, 6)
-            assert np.max(np.abs(st.mat - exact)) < 1e-7
+            assert np.max(np.abs(st.mat - exact)) < tol
 
-    def test_every_rhs_evaluation_goes_through_apply(self, monkeypatch):
+    def test_integrate_matches_exact_propagator(self):
+        """RK45 at rtol 1e-8 / atol 1e-10."""
+        self.check_against_exact_propagator(1.0, "RK45", 1e-7)
+
+    def test_chebyshev_matches_exact_propagator(self):
+        """The Chebyshev path, certified to 1e-12 per sub-step."""
+        self.check_against_exact_propagator(0.1, "chebyshev", 1e-10)
+
+    def check_products_go_through_apply(self, monkeypatch, damping, method):
         """The benchmark's tracer counts right-hand sides as the calls of
         ``Liouvillian.apply`` made by ``integrate``."""
-        reg, model, _ = driven_squeezed_model()
+        reg, model, _ = driven_squeezed_model(damping=damping)
         liou = build_liouvillian(model, reg)
         calls = []
         apply = Liouvillian.apply
@@ -279,8 +296,77 @@ class TestJumpForm:
         stats: dict = {}
         integrate(liou, DensityMatrix.coherent(6, 0.5), [0.0, 1.0, 3.0],
                   stats=stats)
+        assert stats["method"] == method
         assert stats["rhs_evaluations"] > 0
         assert len(calls) == stats["rhs_evaluations"]
+
+    def test_every_rhs_evaluation_goes_through_apply(self, monkeypatch):
+        self.check_products_go_through_apply(monkeypatch, 1.0, "RK45")
+
+    def test_every_chebyshev_product_goes_through_apply(self, monkeypatch):
+        self.check_products_go_through_apply(monkeypatch, 0.1, "chebyshev")
+
+    @pytest.mark.parametrize("damping", [1.0, 0.1, None])
+    def test_range_box_contains_numerical_range(self, damping):
+        """W(R) lies in |Re z| <= delta, |Im z| <= spread(H) + delta: the
+        spectra of the Hermitian and skew-Hermitian parts of R do.  Without
+        channels (damping None), R = R_H and ||R_H||_2 = spread(H)."""
+        reg, model, _ = driven_squeezed_model(damping=damping or 1.0)
+        if damping is None:
+            model = EffectiveModel(H_eff=model.H_eff, channels=(), registry=reg)
+        liou = build_liouvillian(model, reg)
+        spread, delta = liou.range_box()
+        R = liou.R.toarray()
+        re = np.linalg.eigvalsh((R + R.T) / 2)
+        im = np.linalg.eigvalsh((R - R.T) / 2j)
+        assert max(-re[0], re[-1]) <= delta + 1e-12
+        assert max(-im[0], im[-1]) <= spread + delta + 1e-12
+        if damping is None:
+            assert delta == 0.0
+            assert im[-1] == pytest.approx(spread, rel=1e-12)
+
+    def test_chebyshev_records_its_plan(self):
+        """The manifest fields of the Chebyshev path, and the range box
+        that chose it."""
+        reg, model, _ = driven_squeezed_model(damping=0.1)
+        liou = build_liouvillian(model, reg)
+        stats: dict = {}
+        integrate(liou, DensityMatrix.vacuum(6), [0.0, 0.5, 1.0, 4.0],
+                  stats=stats)
+        spread, delta = liou.range_box()
+        assert stats["hamiltonian_spread"] == spread > delta
+        assert stats["dissipative_bound"] == delta
+        assert stats["steps"] == 3
+        assert stats["substeps"] >= 3
+        assert stats["rhs_evaluations"] <= stats["substeps"] * stats["degree"]
+        assert 0.0 < stats["truncation_bound"] <= (
+            stats["substeps"] * stats["tolerance"])
+
+    @pytest.mark.parametrize("loss", [0.0, 1e-3])
+    def test_long_interval_terminates(self, loss):
+        """One grid interval of c dt = 2.5e4, in under a second: one step
+        when closed (rho = 1), cut into sub-steps when the weak loss makes
+        rho^(c dt) about e^476, and within 1e-10 of expm(S t) either way."""
+        reg, a = single_mode(8)
+        n = a.adjoint() * a
+        channels = (DissipationChannel(op=a, rate_prefactor=loss),) if loss else ()
+        model = EffectiveModel(
+            H_eff=2.0 * n + 0.5 * n * n + 0.3 * (a + a.adjoint()),
+            channels=channels, registry=reg,
+        )
+        liou = build_liouvillian(model, reg)
+        spread, delta = liou.range_box()
+        t_end = 2.5e4 / (spread + delta)
+        rho0 = DensityMatrix.coherent(8, 0.5)
+        stats: dict = {}
+        start = time.perf_counter()
+        final = integrate(liou, rho0, [0.0, t_end], stats=stats)[-1]
+        assert time.perf_counter() - start < 1.0
+        assert stats["method"] == "chebyshev"
+        assert (stats["substeps"] > 1) == (loss > 0)
+        S = liou.superoperator().toarray()
+        exact = (expm(S * t_end) @ rho0.mat.ravel()).reshape(8, 8)
+        assert np.max(np.abs(final.mat - exact)) < 1e-10
 
 
 class TestRealCoordinates:
