@@ -221,7 +221,6 @@ def _resolved_params(net: Netlist) -> dict:
             "t_max_us": net.run.t_max,
             "n_points": net.run.n_points,
             "initial_state": str(net.run.initial_state),
-            "compensate_linear": net.run.compensate_linear,
             "high_gain": net.run.high_gain,
             "tau_star_us": net.run.tau_star,
         },

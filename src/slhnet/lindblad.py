@@ -85,10 +85,6 @@ def to_matrix(x: OperatorExpr, registry: ModeRegistry) -> np.ndarray:
     return out
 
 
-def expectation(opmat: np.ndarray, rho: np.ndarray) -> complex:
-    return complex(np.trace(opmat @ rho))
-
-
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out all modes not in keep; keep order follows original order."""
     n = len(dims)
@@ -332,18 +328,19 @@ def build_liouvillian(model, registry: ModeRegistry) -> Liouvillian:
     return Liouvillian(Hmat=Hmat, jumps=jumps)
 
 
-def _validate_evolved(rho: np.ndarray, t: float) -> DensityMatrix:
-    """Checks a state rebuilt by ``from_coords`` (Hermitian by construction)."""
+def _validate_evolved(rho: np.ndarray, where: str) -> DensityMatrix:
+    """Checks a state rebuilt by ``from_coords`` (Hermitian by construction);
+    ``where`` names it in the messages ("t=0.5", "steady state")."""
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-8:
-        raise NumericalFailure(f"trace drift {tr - 1:.3e} at t={t:g}")
+        raise NumericalFailure(f"trace drift {tr - 1:.3e} at {where}")
     w = np.linalg.eigvalsh(rho)
     if w[0] < ABORT_FLOOR:
         raise NumericalFailure(
-            f"negative population {w[0]:.3e} at t={t:g}; truncation inadequate"
+            f"negative population {w[0]:.3e} at {where}; truncation inadequate"
         )
     if w[0] < CLIP_FLOOR:
-        log.info("clipped eigenvalue floor %.3e at t=%g", w[0], t)
+        log.info("clipped eigenvalue floor %.3e at %s", w[0], where)
         return DensityMatrix(_clip_to_psd(rho), min_eig=0.0)
     return DensityMatrix(rho, min_eig=float(w[0]))
 
@@ -381,7 +378,7 @@ def integrate(
     if stats is not None:
         stats.update(work, hamiltonian_spread=spread, dissipative_bound=delta,
                      **liou.generator_stats())
-    return [_validate_evolved(from_coords(x, liou.dim), t)
+    return [_validate_evolved(from_coords(x, liou.dim), f"t={t:g}")
             for x, t in zip(xs, t_grid)]
 
 
@@ -528,7 +525,9 @@ def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
     The shift sigma = +1e-9 ||R||_1 keeps R - sigma regular, since no
     eigenvalue of a Lindbladian (R has the spectrum of S) has a positive
     real part.  A second eigenvalue within 1e-9 ||R||_1 of zero means
-    several steady states.  ``stats``, if given, receives the method,
+    several steady states.  The state passes the checks of an integrated
+    one (``_validate_evolved``): a population below ABORT_FLOOR raises
+    NumericalFailure.  ``stats``, if given, receives the method,
     |lambda_2|, ||R x||_2 = ||L rho||_F and the size of R.
     """
     d = liou.dim
@@ -556,18 +555,10 @@ def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
     if stats is not None:
         stats.update(method="sparse-shift-invert", lambda2_abs=lam2, residual=res,
                      **liou.generator_stats())
-    rho = from_coords(x, d)
-    w0 = float(np.linalg.eigvalsh(rho)[0])
-    if w0 < CLIP_FLOOR:
-        return DensityMatrix(_clip_to_psd(rho), min_eig=0.0)
-    return DensityMatrix(rho, min_eig=w0)
+    return _validate_evolved(from_coords(x, d), "steady state")
 
 
-def fock_leak(rho: np.ndarray, dims: tuple[int, ...]) -> float:
-    """Worst top-two-level population over modes (truncation adequacy probe)."""
-    worst = 0.0
-    for k, d in enumerate(dims):
-        red = partial_trace(rho, dims, (k,)) if len(dims) > 1 else rho
-        pops = np.diag(red).real
-        worst = max(worst, float(pops[-2:].sum()))
-    return worst
+def fock_leak(rho: np.ndarray) -> float:
+    """Top-two-level population of one mode's matrix, floored at 0
+    (truncation adequacy probe)."""
+    return max(0.0, float(np.diag(rho).real[-2:].sum()))

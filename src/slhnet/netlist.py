@@ -15,8 +15,8 @@ Line-oriented ``dotted.key = value`` syntax, ``#`` comments.  Keys:
 * ``run.<field>`` — task block: ``task`` (evolve | steady | g2 | fano |
   nongauss | kerr-coeffs | quartic-coeffs | oracle-sweep), ``t_max``
   (time), ``n_points`` (int), ``initial_state`` (``vacuum``, ``fock:n``,
-  ``coherent:z``), flags ``compensate_linear`` and ``high_gain``, and
-  optional ``tau_star`` (time normalization for g2 output).
+  ``coherent:z``), flag ``high_gain``, and optional ``tau_star`` (time
+  normalization for g2 output).  Any other run field is a parse error.
 
 Expression grammar (shared by scalar and operator values): ``+ - * ^``,
 ``sqrt()``, parentheses, real/imaginary literals (``2.5``, ``0.5j``), mode
@@ -111,7 +111,6 @@ class RunBlock:
     t_max: float = 1.0
     n_points: int = 100
     initial_state: StateSpec = field(default_factory=lambda: StateSpec("vacuum"))
-    compensate_linear: bool = False
     high_gain: bool = False
     tau_star: float = DEFAULT_TAU_STAR_US
 
@@ -614,7 +613,7 @@ class _Parser:
             st = self._parse_state(value, registry, lineno, vcol)
             if st is not None:
                 run_fields["initial_state"] = st
-        elif fld in ("compensate_linear", "high_gain"):
+        elif fld == "high_gain":
             if value not in ("true", "false"):
                 self.err(lineno, vcol, f"{fld} must be true or false")
             else:
@@ -658,7 +657,6 @@ class _Parser:
             t_max=run_fields.get("t_max", 1.0),
             n_points=run_fields.get("n_points", 100),
             initial_state=run_fields.get("initial_state", StateSpec("vacuum")),
-            compensate_linear=run_fields.get("compensate_linear", False),
             high_gain=run_fields.get("high_gain", False),
             tau_star=run_fields.get("tau_star", DEFAULT_TAU_STAR_US),
         )
@@ -713,7 +711,6 @@ def format_netlist(net: Netlist) -> str:
     out.append(f"run.t_max = {r.t_max!r} us")
     out.append(f"run.n_points = {r.n_points}")
     out.append(f"run.initial_state = {r.initial_state}")
-    out.append(f"run.compensate_linear = {'true' if r.compensate_linear else 'false'}")
     out.append(f"run.high_gain = {'true' if r.high_gain else 'false'}")
     out.append(f"run.tau_star = {r.tau_star!r} us")
     return "\n".join(out) + "\n"

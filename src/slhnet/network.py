@@ -22,11 +22,9 @@ integration engine).
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .algebra import ModeRegistry, OperatorExpr, is_hermitian
 
@@ -264,17 +262,11 @@ class FeedbackLoopSpec:
 
 @dataclass(frozen=True)
 class EffectiveModel:
-    """Plant-only model after amplifier elimination.
-
-    ``h_nl`` (set by :func:`high_gain_limit`) isolates the feedback-induced
-    Hamiltonian, i.e. the part of ``H_eff`` engineered by the loop, with
-    plant Hamiltonian and classical drive removed.
-    """
+    """Plant-only model after amplifier elimination."""
 
     H_eff: OperatorExpr
     channels: tuple[DissipationChannel, ...]
     registry: ModeRegistry
-    h_nl: Optional[OperatorExpr] = None
 
     def __post_init__(self):
         if not is_hermitian(self.H_eff, _HERM_TOL_EFFECTIVE):
@@ -377,14 +369,11 @@ def _compose_loop_direct(
 # Amplifier elimination
 # ---------------------------------------------------------------------------
 
-def _eliminated_parts(spec: FeedbackLoopSpec, ch: float, sh: float,
-                      beta: complex):
-    """Shared assembly for the eliminated model.
-
-    ``ch``/``sh`` are the Bogoliubov cosh/sinh weights of the amplifier and
-    ``beta`` the steady coherent amplitude injected by the classical drive.
-    Returns ``(H_fb, H_drive, Theta)`` on the plant registry.
-    """
+def _eliminated_model(spec: FeedbackLoopSpec, ch: float, sh: float,
+                      beta: complex) -> EffectiveModel:
+    """The eliminated model for Bogoliubov cosh/sinh weights ``ch``/``sh``
+    of the amplifier and the steady coherent amplitude ``beta`` injected by
+    the classical drive (see :func:`eliminate_amplifier`)."""
     s = cmath.exp(1j * spec.theta)
     L = spec.L
     Lf = spec.L_f
@@ -394,7 +383,11 @@ def _eliminated_parts(spec: FeedbackLoopSpec, ch: float, sh: float,
         beta.conjugate() * s.conjugate() * Lf - beta * s * Lf.adjoint()
     )
     theta_op = L - ch * s.conjugate() * Lf + sh * s * Lf.adjoint()
-    return h_fb, h_drive, theta_op
+    channels: tuple[DissipationChannel, ...] = ()
+    if not theta_op.is_zero:
+        channels = (DissipationChannel(op=theta_op),)
+    return EffectiveModel(H_eff=spec.plant_H + h_fb + h_drive,
+                          channels=channels, registry=spec.registry)
 
 
 def eliminate_amplifier(spec: FeedbackLoopSpec) -> EffectiveModel:
@@ -417,20 +410,11 @@ def eliminate_amplifier(spec: FeedbackLoopSpec) -> EffectiveModel:
       the conjugate of the upstream one.
     """
     r0 = spec.amp.r0
-    ch = math.cosh(r0)
-    sh = math.sinh(r0)
     beta = -spec.A * (
         (1.0 + math.exp(r0)) * math.sin(spec.phi)
         + 1j * (1.0 + math.exp(-r0)) * math.cos(spec.phi)
     )
-    h_fb, h_drive, theta_op = _eliminated_parts(spec, ch, sh, beta)
-    h_eff = spec.plant_H + h_fb + h_drive
-    channels: tuple[DissipationChannel, ...] = ()
-    if not theta_op.is_zero:
-        channels = (DissipationChannel(op=theta_op),)
-    return EffectiveModel(
-        H_eff=h_eff, channels=channels, registry=spec.registry
-    )
+    return _eliminated_model(spec, math.cosh(r0), math.sinh(r0), beta)
 
 
 def high_gain_limit(spec: FeedbackLoopSpec) -> EffectiveModel:
@@ -438,19 +422,11 @@ def high_gain_limit(spec: FeedbackLoopSpec) -> EffectiveModel:
 
     Replaces both Bogoliubov weights by ``sqrt(G0)`` and keeps only the
     leading drive response, so the engineered Hamiltonian appears at a
-    single overall scale ``sqrt(G0)``.  The feedback-induced part is
-    exposed as ``h_nl``.
+    single overall scale ``sqrt(G0)``.
     """
     g = math.sqrt(spec.amp.G0)
     beta = -spec.A * (2.0 * g * math.sin(spec.phi) + 1j * math.cos(spec.phi))
-    h_fb, h_drive, theta_op = _eliminated_parts(spec, g, g, beta)
-    h_eff = spec.plant_H + h_fb + h_drive
-    channels: tuple[DissipationChannel, ...] = ()
-    if not theta_op.is_zero:
-        channels = (DissipationChannel(op=theta_op),)
-    return EffectiveModel(
-        H_eff=h_eff, channels=channels, registry=spec.registry, h_nl=h_fb
-    )
+    return _eliminated_model(spec, g, g, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Nonclassicality diagnostics: Fano factor, steady-state g2 via quantum
-regression, and non-Gaussianity against a moment-matched Gaussian reference."""
+regression, and non-Gaussianity against a moment-matched Gaussian reference.
+
+``moments``, ``fano_factor``, ``gaussian_reference`` and
+``non_gaussianity`` take one mode's density matrix as an ndarray; a caller
+with a joint state reduces it first (``lindblad.partial_trace``)."""
 from __future__ import annotations
 
 import logging
@@ -14,7 +18,6 @@ from .lindblad import (
     PhysicsValidationError,
     annihilation_matrix,
     integrate,
-    partial_trace,
 )
 
 log = logging.getLogger(__name__)
@@ -37,35 +40,26 @@ class MomentSet:
             )
 
 
-def _mode_reduced(rho: np.ndarray, dims, mode: int) -> np.ndarray:
-    if dims is None or len(dims) == 1:
-        return rho
-    return partial_trace(rho, tuple(dims), (mode,))
-
-
-def moments(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0) -> MomentSet:
-    """Quadrature mean and symmetrized covariance of one mode."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else rho
-    red = _mode_reduced(mat, dims, mode)
-    d = red.shape[0]
+def moments(rho: np.ndarray) -> MomentSet:
+    """Quadrature mean and symmetrized covariance of one mode's matrix."""
+    d = rho.shape[0]
     a = annihilation_matrix(d)
     ad = a.conj().T
     x = (a + ad) / math.sqrt(2)
     p = 1j * (ad - a) / math.sqrt(2)
-    ex = float(np.trace(x @ red).real)
-    ep = float(np.trace(p @ red).real)
-    xx = float(np.trace(x @ x @ red).real) - ex * ex
-    pp = float(np.trace(p @ p @ red).real) - ep * ep
-    xp = float((0.5 * np.trace((x @ p + p @ x) @ red)).real) - ex * ep
+    ex = float(np.trace(x @ rho).real)
+    ep = float(np.trace(p @ rho).real)
+    xx = float(np.trace(x @ x @ rho).real) - ex * ex
+    pp = float(np.trace(p @ p @ rho).real) - ep * ep
+    xp = float((0.5 * np.trace((x @ p + p @ x) @ rho)).real) - ex * ep
     return MomentSet(mean=(ex, ep), cov=np.array([[xx, xp], [xp, pp]]))
 
 
-def fano_factor(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0) -> float:
-    """Photon-number variance over mean; NaN on vanishing mean (undefined)."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else rho
-    red = _mode_reduced(mat, dims, mode)
-    n = np.arange(red.shape[0], dtype=float)
-    pops = np.diag(red).real
+def fano_factor(rho: np.ndarray) -> float:
+    """Photon-number variance over mean of one mode's matrix; NaN on
+    vanishing mean (undefined)."""
+    n = np.arange(rho.shape[0], dtype=float)
+    pops = np.diag(rho).real
     mean = float(n @ pops)
     if mean <= 0:
         return math.nan
@@ -120,17 +114,16 @@ def _squeeze(d: int, zeta: complex) -> np.ndarray:
     return expm(0.5 * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T)))
 
 
-def gaussian_reference(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0) -> DensityMatrix:
-    """Displaced squeezed thermal state matching the mode's first/second moments.
+def gaussian_reference(rho: np.ndarray) -> DensityMatrix:
+    """Displaced squeezed thermal state matching the first/second moments of
+    one mode's matrix.
 
     One-mode normal form: nu = sqrt(det cov) fixes the thermal occupancy
     nbar = nu - 1/2, the principal-axis ratio fixes the squeeze magnitude,
     and the principal angle fixes the squeeze phase.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else rho
-    red = _mode_reduced(mat, dims, mode)
-    d = red.shape[0]
-    ms = moments(red)
+    d = rho.shape[0]
+    ms = moments(rho)
     V = ms.cov
     nu = math.sqrt(max(np.linalg.det(V), 0.25))
     nbar = max(nu - 0.5, 0.0)
@@ -147,7 +140,7 @@ def gaussian_reference(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0
     sigma = 0.5 * (sigma + sigma.conj().T)
     sigma /= np.trace(sigma).real
     out = DensityMatrix(sigma)
-    ms2 = moments(out)
+    ms2 = moments(out.mat)
     dev = max(
         abs(ms2.mean[0] - ms.mean[0]),
         abs(ms2.mean[1] - ms.mean[1]),
@@ -162,14 +155,13 @@ def gaussian_reference(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0
     return out
 
 
-def non_gaussianity(rho: DensityMatrix | np.ndarray, dims=None, mode: int = 0) -> float:
-    """Hilbert-Schmidt non-Gaussianity tr[(rho-sigma)^2/2]/tr[rho^2], in [0,1]."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else rho
-    red = _mode_reduced(mat, dims, mode)
-    sigma = gaussian_reference(red).mat
-    diff = red - sigma
+def non_gaussianity(rho: np.ndarray) -> float:
+    """Hilbert-Schmidt non-Gaussianity tr[(rho-sigma)^2/2]/tr[rho^2] of one
+    mode's matrix, in [0,1]."""
+    sigma = gaussian_reference(rho).mat
+    diff = rho - sigma
     num = 0.5 * float(np.trace(diff @ diff).real)
-    den = float(np.trace(red @ red).real)
+    den = float(np.trace(rho @ rho).real)
     val = num / den
     if val < 0 or val > 1:
         log.info("clamping non-Gaussianity %.3e to [0,1]", val)

@@ -7,6 +7,10 @@ its table (``columns``, ``rows``), headline ``results``, the built model,
 solver statistics, the truncation check and any warning notes.  It reads
 and writes no files; ``cli`` turns a ``Result`` into artifacts.
 
+Each reported state (a trajectory point or a steady state) is reduced
+once, to one matrix per mode (``_mode_matrices``).  The leak check reads
+every mode's matrix; <n>, Fano and delta read the first mode's.
+
 The coefficient tasks read the paper's closed forms off the loop
 templates (``extract_kerr``, ``extract_cross_kerr``, ``extract_quartic``);
 ``oracle-sweep`` checks the amplifier elimination against the full loop.
@@ -312,7 +316,7 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
     label = net.registry.labels[0]
     x_op = OperatorExpr.position(net.registry, label)
     h = net.plant_H
-    if not net.run.compensate_linear and qc.chi1:
+    if qc.chi1:
         h = h + qc.chi1 * x_op
     h = h + qc.chi2 * (x_op * x_op)
     h = h + qc.chi3 * (x_op * x_op * x_op)
@@ -327,7 +331,6 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
             dataclasses.replace(q, loop2_declared=None)
         ),
         "coefficients": dataclasses.asdict(qc),
-        "linear_term_compensated": net.run.compensate_linear,
     }
     return BuiltModel(model=model, kind="quartic-synthesis", info=info)
 
@@ -410,27 +413,32 @@ class Result:
     notes: tuple[str, ...] = ()
 
 
-def _leak_check(net: Netlist, leak: float, rho: np.ndarray):
-    """Truncation check of the state ``rho`` with the largest leak, and on
-    failure a warning naming the worst mode: ``(leak_report, notes)``."""
+def _mode_matrices(st: DensityMatrix, dims) -> list[np.ndarray]:
+    """One matrix per mode of a reported state; a one-mode state is its own."""
+    if len(dims) == 1:
+        return [st.mat]
+    return [partial_trace(st.mat, dims, (k,)) for k in range(len(dims))]
+
+
+def _leak_check(net: Netlist, leaks: list[float]):
+    """Truncation check of the per-mode ``leaks`` of the state with the
+    largest leak, and on failure a warning naming the worst mode:
+    ``(leak_report, notes)``."""
+    k = int(np.argmax(leaks))
+    leak = leaks[k]
     report = {"max_leak": leak, "threshold": LEAK_THRESHOLD,
               "within_threshold": leak < LEAK_THRESHOLD}
     if leak < LEAK_THRESHOLD:
         return report, ()
-    dims = net.registry.dims
-    per_mode = [fock_leak(partial_trace(rho, dims, (k,)), (d,))
-                for k, d in enumerate(dims)]
-    k = int(np.argmax(per_mode))
     return report, (
         f"warning: truncation check failed: Fock leak {leak:.3g} exceeds "
         f"threshold {LEAK_THRESHOLD:g} in mode {net.registry.labels[k]} "
-        f"(truncation {dims[k]})",
+        f"(truncation {net.registry.dims[k]})",
     )
 
 
-def _mean_n(st: DensityMatrix, dims) -> float:
-    red = st.mat if len(dims) == 1 else partial_trace(st.mat, dims, (0,))
-    return float(np.diag(red).real @ np.arange(red.shape[0]))
+def _mean_n(rho: np.ndarray) -> float:
+    return float(np.diag(rho).real @ np.arange(rho.shape[0]))
 
 
 def _freq_row(name: str, value_rad_us: float):
@@ -445,15 +453,13 @@ def _run_time_series(net: Netlist) -> Result:
     t_grid = list(np.linspace(0.0, net.run.t_max, net.run.n_points))
     stats: dict = {}
     states = integrate(liou, rho0, t_grid, stats=stats)
-    dims = net.registry.dims
     leaks = []
     recs = []
     for t, st in zip(t_grid, states):
-        leaks.append(fock_leak(st.mat, dims))
-        f = fano_factor(st, dims, 0)
-        delta = non_gaussianity(st, dims, 0)
-        nbar = _mean_n(st, dims)
-        recs.append((t, nbar, f, delta))
+        mats = _mode_matrices(st, net.registry.dims)
+        leaks.append([fock_leak(m) for m in mats])
+        recs.append((t, _mean_n(mats[0]), fano_factor(mats[0]),
+                     non_gaussianity(mats[0])))
     task = net.run.task
     if task is Task.FANO:
         columns = ("t_us", "fano", "mean_n")
@@ -465,8 +471,7 @@ def _run_time_series(net: Netlist) -> Result:
         columns = ("t_us", "mean_n", "fano", "delta")
         rows = [(t, n, f, d) for (t, n, f, d) in recs]
     peak_idx = max(range(len(recs)), key=lambda k: recs[k][3])
-    worst = int(np.argmax(leaks))
-    report, notes = _leak_check(net, leaks[worst], states[worst].mat)
+    report, notes = _leak_check(net, max(leaks, key=max))
     results = {
         "final_t_us": t_grid[-1],
         "final_mean_n": recs[-1][1],
@@ -483,12 +488,12 @@ def _run_steady(net: Netlist) -> Result:
     liou = build_liouvillian(built.model, net.registry)
     stats: dict = {}
     rho = steady_state(liou, stats=stats)
-    dims = net.registry.dims
-    f = fano_factor(rho, dims, 0)
-    delta = non_gaussianity(rho, dims, 0)
-    nbar = _mean_n(rho, dims)
+    mats = _mode_matrices(rho, net.registry.dims)
+    f = fano_factor(mats[0])
+    delta = non_gaussianity(mats[0])
+    nbar = _mean_n(mats[0])
     purity = float(np.trace(rho.mat @ rho.mat).real)
-    report, notes = _leak_check(net, fock_leak(rho.mat, dims), rho.mat)
+    report, notes = _leak_check(net, [fock_leak(m) for m in mats])
     results = {"mean_n": nbar, "fano": f, "delta": delta, "purity": purity}
     columns = ("mean_n", "fano", "delta", "purity")
     rows = [(nbar, f, delta, purity)]
@@ -509,7 +514,7 @@ def _run_g2(net: Netlist) -> Result:
     tau_star = net.run.tau_star
     columns = ("tau_us", "tau_over_taustar", "g2")
     rows = [(t, t / tau_star, v) for t, v in zip(taus, vals)]
-    report, notes = _leak_check(net, fock_leak(rho.mat, dims), rho.mat)
+    report, notes = _leak_check(net, [fock_leak(rho.mat)])
     stats = {**stats, "method": "regression+" + stats["method"],
              "steady_state": steady_stats}
     results = {
@@ -517,7 +522,7 @@ def _run_g2(net: Netlist) -> Result:
         "g2_max": max(vals),
         "g2_max_tau_us": taus[int(np.argmax(vals))],
         "antibunched": max(vals[1:]) > vals[0] if len(vals) > 1 else False,
-        "steady_mean_n": _mean_n(rho, dims),
+        "steady_mean_n": _mean_n(rho.mat),
         "tau_star_us": tau_star,
     }
     return Result(columns, rows, results, built, stats, report, notes)

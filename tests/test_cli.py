@@ -8,14 +8,17 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import slhnet.lindblad
 import slhnet.pipeline
 from slhnet.cli import main
 from slhnet.lindblad import (
     NumericalFailure,
     PhysicsValidationError,
     build_liouvillian,
+    to_coords,
 )
 from slhnet.netlist import parse
 from slhnet.pipeline import build_model, override_key
@@ -65,6 +68,20 @@ bath.loss.a = 0.5 rad_per_us
 run.task = g2
 run.t_max = 2.0 us
 run.n_points = 5
+"""
+
+# a free mode a beside a driven lossy mode b: the drive fills b's 4 levels,
+# so the leak check names b, while a keeps its coherent number statistics
+# (<n> = 0.25, Fano = 1)
+TWO_MODE_NET = """
+mode.a = 10
+mode.b = 4
+plant.H = 1.0 rad_per_us * ad@a * a@a + 2.0 rad_per_us * (a@b + ad@b)
+bath.loss.b = 0.5 rad_per_us
+run.task = evolve
+run.t_max = 1.0 us
+run.n_points = 11
+run.initial_state = coherent:0.5
 """
 
 LOSSY_STEADY_NET = """
@@ -229,6 +246,25 @@ class TestArtifacts:
         assert ((out1 / "nongauss.csv").read_bytes()
                 == (out2 / "nongauss.csv").read_bytes())
 
+    def test_two_mode_evolve_reduces_each_mode(self, tmp_path, capsys):
+        """<n> and Fano describe the first mode; the leak check reads every
+        mode and names the worst."""
+        out = run_cli(tmp_path, TWO_MODE_NET)
+        err = capsys.readouterr().err
+        lines = (out / "evolve.csv").read_text().strip().splitlines()
+        assert lines[1] == "t_us,mean_n,fano,delta"
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
+        assert len(rows) == 11
+        for _, mean_n, fano, _ in rows:
+            assert abs(mean_n - 0.25) < 1e-9
+            assert abs(fano - 1.0) < 1e-9
+        report = json.loads((out / "manifest.json").read_text())["leak_report"]
+        assert report["within_threshold"] is False
+        assert abs(report["max_leak"] - 0.7529) < 1e-4
+        warning = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warning) == 1
+        assert "mode b (truncation 4)" in warning[0]
+
 
 class TestUnitIdentities:
     def test_kerr_summary_dual_units_agree(self, tmp_path, capsys):
@@ -302,6 +338,21 @@ class TestExitCodes:
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:steady-state residual")
+    def test_negative_steady_population_is_exit_four(self, tmp_path, capsys,
+                                                     monkeypatch):
+        x = to_coords(np.diag([1.001, 0.0, 0.0, -1e-3]))
+
+        def eigs(*args, **kwargs):
+            return np.array([0.0, -1.0]), np.stack([x, 0 * x], axis=1)
+
+        monkeypatch.setattr(slhnet.lindblad.spla, "eigs", eigs)
+        nl = write_net(tmp_path, LOSSY_STEADY_NET.format(dim=4))
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert ("numerical failure: negative population -1.000e-03 at "
+                "steady state" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("dim", [50, 121])
     def test_lossy_cavity_steady_state_is_vacuum(self, tmp_path, capsys, dim):

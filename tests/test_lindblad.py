@@ -4,7 +4,6 @@ and steady states, checked against closed-form moment dynamics."""
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -344,9 +343,10 @@ class TestJumpForm:
 
     @pytest.mark.parametrize("loss", [0.0, 1e-3])
     def test_long_interval_terminates(self, loss):
-        """One grid interval of c dt = 2.5e4, in under a second: one step
-        when closed (rho = 1), cut into sub-steps when the weak loss makes
-        rho^(c dt) about e^476, and within 1e-10 of expm(S t) either way."""
+        """One grid interval of c dt = 2.5e4, in at most 1.5 x 2.5e4
+        products with R: one step when closed (rho = 1), cut into sub-steps
+        when the weak loss makes rho^(c dt) about e^476, and within 1e-10 of
+        expm(S t) either way."""
         reg, a = single_mode(8)
         n = a.adjoint() * a
         channels = (DissipationChannel(op=a, rate_prefactor=loss),) if loss else ()
@@ -359,9 +359,8 @@ class TestJumpForm:
         t_end = 2.5e4 / (spread + delta)
         rho0 = DensityMatrix.coherent(8, 0.5)
         stats: dict = {}
-        start = time.perf_counter()
         final = integrate(liou, rho0, [0.0, t_end], stats=stats)[-1]
-        assert time.perf_counter() - start < 1.0
+        assert stats["rhs_evaluations"] <= 1.5 * 2.5e4
         assert stats["method"] == "chebyshev"
         assert (stats["substeps"] > 1) == (loss > 0)
         S = liou.superoperator().toarray()
@@ -502,7 +501,6 @@ class TestLiouvillianAssembly:
         object.__setattr__(model, "H_eff", a)
         object.__setattr__(model, "channels", ())
         object.__setattr__(model, "registry", reg)
-        object.__setattr__(model, "h_nl", None)
         with pytest.raises(PhysicsValidationError, match="Hermitian"):
             build_liouvillian(model, reg)
 
@@ -522,7 +520,7 @@ class TestEliminationConsistency:
         )
         rho_fin = steady_state(build_liouvillian(eliminate_amplifier(spec), reg))
         rho_lim = steady_state(build_liouvillian(high_gain_limit(spec), reg))
-        assert fock_leak(rho_fin.mat, (dim,)) < 1e-4
+        assert fock_leak(rho_fin.mat) < 1e-4
         assert trace_distance(rho_fin.mat, rho_lim.mat) < 0.05
 
 
@@ -656,13 +654,15 @@ class TestDiagnostics:
     def test_fock_leak_single_mode(self):
         pops = np.array([0.9, 0.06, 0.03, 0.007, 0.003])
         rho = np.diag(pops).astype(complex)
-        assert abs(fock_leak(rho, (5,)) - 0.01) < 1e-12
+        assert abs(fock_leak(rho) - 0.01) < 1e-12
 
     def test_fock_leak_two_modes_reports_worst(self):
         pa = np.diag([0.97, 0.02, 0.01]).astype(complex)
         pb = np.diag([0.995, 0.004, 0.001]).astype(complex)
         rho = np.kron(pa, pb)
-        assert abs(fock_leak(rho, (3, 3)) - 0.03) < 1e-12
+        leaks = [fock_leak(partial_trace(rho, (3, 3), (k,))) for k in (0, 1)]
+        assert abs(leaks[0] - 0.03) < 1e-12
+        assert abs(leaks[1] - 0.005) < 1e-12
 
     def test_partial_trace_consistency(self):
         rng = np.random.default_rng(12)

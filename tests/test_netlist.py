@@ -177,6 +177,11 @@ class TestDiagnostics:
             for d in diags
         )
 
+    def test_unknown_run_field(self):
+        diags = diagnostics_of("mode.a = 4\nrun.compensate_linear = true\n")
+        assert any("unknown run field 'compensate_linear'" in d.message
+                   for d in diags)
+
     def test_no_modes(self):
         diags = diagnostics_of("plant.H = 1.0\n")
         assert any("no modes declared" in d.message for d in diags)

@@ -152,7 +152,7 @@ class TestHighGainLimit:
     def test_kerr_loop_nonlinearity_coefficient(self):
         G0, gamma_a = 100.0, TWO_PI * 1.0
         m = high_gain_limit(kerr_loop_spec(G0, gamma_a))
-        chi = m.h_nl.coefficient(((2, 2),)).real
+        chi = m.H_eff.coefficient(((2, 2),)).real
         assert abs(chi - 2.0 * math.sqrt(G0) * gamma_a) < 1e-9 * chi
 
     def test_cross_kerr_loop_coefficient(self):
@@ -168,7 +168,7 @@ class TestHighGainLimit:
             phi=0.0,
         )
         m = high_gain_limit(spec)
-        coeff = m.h_nl.coefficient(((1, 1), (1, 1))).real
+        coeff = m.H_eff.coefficient(((1, 1), (1, 1))).real
         want = cross_kerr_coefficient(G0, ga, gb)
         assert abs(coeff - want) < 1e-9 * want
 

@@ -54,26 +54,26 @@ class TestMomentSet:
             MomentSet(mean=(0.0, 0.0), cov=0.3 * np.eye(2))
 
     def test_vacuum_moments(self):
-        ms = moments(DensityMatrix.vacuum(10))
+        ms = moments(DensityMatrix.vacuum(10).mat)
         assert abs(ms.mean[0]) < 1e-12 and abs(ms.mean[1]) < 1e-12
         assert_close_matrices(ms.cov, 0.5 * np.eye(2), 1e-12, "vacuum cov")
 
     def test_coherent_moments(self):
         alpha = 0.7 - 0.4j
-        ms = moments(DensityMatrix.coherent(30, alpha))
+        ms = moments(DensityMatrix.coherent(30, alpha).mat)
         assert abs(ms.mean[0] - math.sqrt(2) * alpha.real) < 1e-9
         assert abs(ms.mean[1] - math.sqrt(2) * alpha.imag) < 1e-9
         assert_close_matrices(ms.cov, 0.5 * np.eye(2), 1e-9, "coherent cov")
 
     def test_fock_one_moments(self):
-        ms = moments(DensityMatrix.fock(10, 1))
+        ms = moments(DensityMatrix.fock(10, 1).mat)
         assert_close_matrices(ms.cov, 1.5 * np.eye(2), 1e-12, "fock-1 cov")
 
     def test_squeezed_vacuum_moments(self):
         r, d = 0.3, 30
         S = _squeeze(d, r)
         vac = DensityMatrix.vacuum(d).mat
-        ms = moments(DensityMatrix(S @ vac @ S.conj().T))
+        ms = moments(DensityMatrix(S @ vac @ S.conj().T).mat)
         expected = np.diag([math.exp(-2 * r) / 2, math.exp(2 * r) / 2])
         assert_close_matrices(ms.cov, expected, 1e-10, "squeezed cov")
 
@@ -81,17 +81,17 @@ class TestMomentSet:
 class TestFanoFactor:
     def test_coherent_state_is_poissonian(self):
         rho = DensityMatrix.coherent(30, math.sqrt(2.0))
-        assert abs(fano_factor(rho) - 1.0) < 1e-3
+        assert abs(fano_factor(rho.mat) - 1.0) < 1e-3
 
     def test_fock_state_has_zero_variance(self):
-        assert fano_factor(DensityMatrix.fock(10, 2)) == 0.0
+        assert fano_factor(DensityMatrix.fock(10, 2).mat) == 0.0
 
     def test_thermal_state_is_super_poissonian(self):
         # variance nbar(nbar+1) over mean nbar gives F = nbar + 1
-        assert abs(fano_factor(DensityMatrix.thermal(30, 1.0)) - 2.0) < 1e-3
+        assert abs(fano_factor(DensityMatrix.thermal(30, 1.0).mat) - 2.0) < 1e-3
 
     def test_vacuum_is_undefined(self):
-        assert math.isnan(fano_factor(DensityMatrix.vacuum(5)))
+        assert math.isnan(fano_factor(DensityMatrix.vacuum(5).mat))
 
     def test_mixtures_of_coherent_states_never_sub_poissonian(self):
         rng = np.random.default_rng(22)
@@ -106,7 +106,7 @@ class TestFanoFactor:
                     2j * np.pi * rng.random()
                 )
                 rho += w[j] * DensityMatrix.coherent(dim, amp).mat
-            assert fano_factor(DensityMatrix(rho)) >= 1.0 - 1e-6
+            assert fano_factor(DensityMatrix(rho).mat) >= 1.0 - 1e-6
 
 
 class TestG2:
@@ -172,17 +172,17 @@ class TestGaussianReference:
         r, d = 0.3, 30
         S = _squeeze(d, r)
         rho = DensityMatrix(S @ DensityMatrix.vacuum(d).mat @ S.conj().T)
-        sigma = gaussian_reference(rho)
+        sigma = gaussian_reference(rho.mat)
         assert trace_distance(sigma.mat, rho.mat) < 1e-6
 
     def test_vacuum_is_a_fixed_point(self):
-        sigma = gaussian_reference(DensityMatrix.vacuum(12))
+        sigma = gaussian_reference(DensityMatrix.vacuum(12).mat)
         assert trace_distance(sigma.mat, DensityMatrix.vacuum(12).mat) < 1e-9
 
     def test_fock_one_maps_to_unit_thermal(self):
         d = 30
-        sigma = gaussian_reference(DensityMatrix.fock(d, 1))
-        ms = moments(sigma)
+        sigma = gaussian_reference(DensityMatrix.fock(d, 1).mat)
+        ms = moments(sigma.mat)
         assert_close_matrices(ms.cov, 1.5 * np.eye(2), 1e-6, "thermal cov")
         # diagonal thermal profile p_n ~ (nbar/(nbar+1))^n with nbar = 1
         pops = np.diag(sigma.mat).real
@@ -193,7 +193,7 @@ class TestGaussianReference:
     def test_reports_unrepresentable_moments(self):
         # a hot thermal state cannot be rebuilt faithfully at tiny truncation
         with pytest.raises(PhysicsValidationError, match="self-check"):
-            gaussian_reference(DensityMatrix.thermal(6, 2.0))
+            gaussian_reference(DensityMatrix.thermal(6, 2.0).mat)
 
 
 class TestNonGaussianity:
@@ -203,13 +203,13 @@ class TestNonGaussianity:
             DensityMatrix.coherent(30, 0.9),
             DensityMatrix.thermal(40, 0.7),
         ):
-            assert non_gaussianity(rho) < 1e-6
+            assert non_gaussianity(rho.mat) < 1e-6
 
     def test_fock_one_matches_direct_evaluation(self):
         """Reference for |1><1| is the unit-mean thermal state; the measure
         is recomputed here with raw matrix arithmetic."""
         d = 30
-        val = non_gaussianity(DensityMatrix.fock(d, 1))
+        val = non_gaussianity(DensityMatrix.fock(d, 1).mat)
         q = 0.5 ** np.arange(d)
         q /= q.sum()
         rho = np.zeros((d, d))
@@ -228,8 +228,8 @@ class TestNonGaussianity:
                 + 0.4 * DensityMatrix.fock(30, 2).mat
             ),
         ):
-            sigma = gaussian_reference(rho)
-            assert non_gaussianity(sigma) < 1e-6
+            sigma = gaussian_reference(rho.mat)
+            assert non_gaussianity(sigma.mat) < 1e-6
 
     def test_displacement_leaves_measure_unchanged(self):
         d = 40
@@ -239,7 +239,7 @@ class TestNonGaussianity:
         )
         D = _displacement(d, 0.3 + 0.2j)
         shifted = DensityMatrix(D @ rho.mat @ D.conj().T)
-        assert abs(non_gaussianity(rho) - non_gaussianity(shifted)) < 1e-8
+        assert abs(non_gaussianity(rho.mat) - non_gaussianity(shifted.mat)) < 1e-8
 
     def test_single_mode_bound_on_random_states(self):
         rng = np.random.default_rng(21)
@@ -249,5 +249,5 @@ class TestNonGaussianity:
                 -1.0 * np.arange(d)
             )
             psi /= np.linalg.norm(psi)
-            val = non_gaussianity(DensityMatrix(np.outer(psi, psi.conj())))
+            val = non_gaussianity(DensityMatrix(np.outer(psi, psi.conj())).mat)
             assert 0.0 <= val <= 0.5 + 1e-6
