@@ -9,10 +9,12 @@ vec).  The map is orthogonal, so ||x||_2 = ||rho||_F, and every rho rebuilt
 from a real x is exactly Hermitian.  On these coordinates the generator is
 one real sparse matrix R (see ``Liouvillian``).
 
-``integrate`` picks its propagator from a bound on the numerical range of
-R (``Liouvillian.range_box``): a Chebyshev expansion of exp(R dt) with a
-certified degree when the Hamiltonian part dominates, RK45 otherwise.  Both
-apply R only through ``Liouvillian.apply``."""
+``integrate`` computes exp(R t) x directly, since R is linear and does not
+depend on time.  It picks its propagator from a bound on the numerical
+range of R (``Liouvillian.range_box``): a Chebyshev expansion of exp(R dt)
+with a certified degree when the Hamiltonian part dominates, an adaptive
+Arnoldi (Krylov) exponential with an a posteriori error estimate
+otherwise.  Both apply R only through ``Liouvillian.apply``."""
 from __future__ import annotations
 
 import functools
@@ -23,15 +25,13 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import sparse, special
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.sparse import linalg as spla
 
 from .algebra import ModeRegistry, OperatorExpr
 
 log = logging.getLogger(__name__)
 
-ATOL = 1e-10
-RTOL = 1e-8
 DENSE_DIM_CAP = 120
 DIM_CAP = 4096
 CLIP_FLOOR = -1e-8
@@ -45,6 +45,13 @@ CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
 # epsilon, still stays within CHEBYSHEV_TOL (see ``_chebyshev_plan``)
 LOG_ROUNDING_BUDGET = math.log(
     CHEBYSHEV_TOL / (CROUZEIX_PALENCIA * float(np.finfo(float).eps)))
+# Arnoldi basis size and the bound on the Krylov path's local error estimates,
+# relative to ||x||_2 and per unit of the fraction of t_grid a step covers;
+# a product R v_j whose part orthogonal to the basis is below BREAKDOWN_TOL
+# of its norm, i.e. rounding, ends the basis as invariant under R
+KRYLOV_BASIS = 30
+KRYLOV_TOL = 1e-12
+BREAKDOWN_TOL = 1e-12
 
 
 class PhysicsValidationError(ValueError):
@@ -361,9 +368,11 @@ def integrate(
 
     With (spread, delta) = ``liou.range_box()``, a Hamiltonian-dominated
     generator (spread > delta) is propagated by ``_chebyshev``, to a
-    certified truncation error of at most CHEBYSHEV_TOL per sub-step; any
-    other by RK45 at ATOL / RTOL, whose steps an almost imaginary spectrum
-    would make tiny.  If ``stats`` is given, it receives the method, its
+    certified truncation error of at most CHEBYSHEV_TOL per sub-step; on an
+    almost imaginary spectrum it needs fewer products than a Krylov basis.
+    Any other generator is propagated by ``_krylov``, whose accepted steps'
+    local error estimates add up to at most KRYLOV_TOL (recorded as
+    ``error_estimate``).  If ``stats`` is given, it receives the method, its
     work counters, the range box and the size of R.
     """
     t_grid = list(t_grid)
@@ -374,7 +383,7 @@ def integrate(
     if spread > delta:
         xs, work = _chebyshev(liou, x0, t_grid, spread, delta)
     else:
-        xs, work = _rk45(liou, x0, t_grid)
+        xs, work = _krylov(liou, x0, t_grid, spread, delta)
     if stats is not None:
         stats.update(work, hamiltonian_spread=spread, dissipative_bound=delta,
                      **liou.generator_stats())
@@ -382,23 +391,88 @@ def integrate(
             for x, t in zip(xs, t_grid)]
 
 
-def _rk45(liou, x0, t_grid) -> tuple[np.ndarray, dict]:
-    # solve_ivp's solver is left in a reference cycle through rhs: drop the
-    # generator from it so it is not kept until the next full collection
-    gen = [liou]
+def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
+    """Adaptive Arnoldi propagation (Saad, SIAM J. Numer. Anal. 29, 209
+    (1992); Sidje, ACM TOMS 24, 130 (1998)).
 
-    def rhs(t, y):
-        return gen[0].apply(y)
-
-    try:
-        sol = solve_ivp(rhs, (0.0, t_grid[-1]), x0, t_eval=t_grid,
-                        method="RK45", atol=ATOL, rtol=RTOL)
-    finally:
-        gen.clear()
-    if not sol.success:
-        raise NumericalFailure(f"integrator failed: {sol.message}")
-    return sol.y.T, dict(method="RK45", rhs_evaluations=int(sol.nfev),
-                         accepted_points=int(sol.t.size), atol=ATOL, rtol=RTOL)
+    From x, k <= m = min(KRYLOV_BASIS, n) products with R build an
+    orthonormal basis V_k with R V_k = V_k H_k + h_{k+1,k} v_{k+1} e_k^T,
+    and exp(R s) x ~ beta V_k exp(s H_k) e_1, beta = ||x||_2, for every s
+    up to the step h.  Saad's estimate of the local error is
+    beta |[exp(h Hbar)]_{k+1,1}| with Hbar = [[H_k, 0], [h_{k+1,k} e_k^T, 0]].
+    A step is accepted when the estimate is at most KRYLOV_TOL beta h / T,
+    so the accepted estimates add up to at most KRYLOV_TOL max beta, and
+    beta = ||rho||_F <= tr rho = 1.  A rejected step is retried on the same
+    basis with a shorter h, which repeats only the small expm.  A happy
+    breakdown (h_{k+1,k} ~ 0) makes the basis invariant under R; the step
+    then runs to T.  The first h follows Expokit from the norm bound
+    c = spread + delta, and the next is h min(2, 0.9 (bound / est)^(1/m)).
+    """
+    T = t_grid[-1]
+    n = x0.size
+    m = min(KRYLOV_BASIS, n)
+    c = spread + delta
+    # Expokit's first step, with its constant ((m+1)/e)^(m+1) sqrt(2 pi (m+1))
+    log_fact = ((m + 1) * (math.log(m + 1) - 1.0)
+                + 0.5 * math.log(2 * math.pi * (m + 1)))
+    h = math.exp((log_fact + math.log(KRYLOV_TOL / 4.0)) / m) / c if c > 0 else T
+    V = np.empty((m + 1, n))
+    Hbar = np.zeros((m + 1, m + 1))
+    x = x0
+    xs = [x]
+    i = 1
+    t = 0.0
+    products = steps = rejected = 0
+    error = 0.0
+    while t < T:
+        beta = float(np.linalg.norm(x))
+        V[0] = x / beta
+        Hbar[:] = 0.0
+        k, happy = m, False
+        for j in range(m):
+            w = liou.apply(V[j])
+            products += 1
+            scale = float(np.linalg.norm(w))
+            basis = V[:j + 1]
+            for _ in range(2):  # classical Gram-Schmidt, reorthogonalized once
+                coef = basis @ w
+                w -= coef @ basis
+                Hbar[:j + 1, j] += coef
+            Hbar[j + 1, j] = hnorm = float(np.linalg.norm(w))
+            if hnorm <= BREAKDOWN_TOL * scale:
+                k, happy = j + 1, True
+                break
+            V[j + 1] = w / hnorm
+        remaining = T - t
+        if happy or h >= remaining:
+            h = remaining
+        while True:
+            F = expm(h * Hbar[:k + 1, :k + 1])
+            est = beta * abs(float(F[k, 0]))
+            bound = KRYLOV_TOL * beta * h / T
+            factor = min(2.0, 0.9 * (bound / est) ** (1.0 / m)) if est > 0 else 2.0
+            if est <= bound:
+                break
+            rejected += 1
+            h *= factor
+            if t + h == t:
+                raise NumericalFailure(f"Krylov step underflow at t={t:g}")
+        t_new = T if h == remaining else t + h
+        while i < len(t_grid) and t_grid[i] < t_new:
+            u = expm((t_grid[i] - t) * Hbar[:k, :k])[:, 0]
+            xs.append(beta * (u @ V[:k]))
+            i += 1
+        x = beta * (F[:k, 0] @ V[:k])
+        if i < len(t_grid) and t_grid[i] == t_new:
+            xs.append(x)
+            i += 1
+        t = t_new
+        steps += 1
+        error += est
+        h *= factor
+    return xs, dict(method="krylov", rhs_evaluations=products, steps=steps,
+                    rejected=rejected, basis=m, tolerance=KRYLOV_TOL,
+                    error_estimate=error)
 
 
 def _chebyshev(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:

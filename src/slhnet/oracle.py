@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ModeRegistry
 from .lindblad import (
     DensityMatrix,
     build_liouvillian,
     integrate,
     partial_trace,
-    to_matrix,
     trace_distance,
 )
 from .network import (

@@ -446,40 +446,44 @@ def _freq_row(name: str, value_rad_us: float):
 
 
 def _run_time_series(net: Netlist) -> Result:
-    """evolve / fano / nongauss share one trajectory pipeline."""
+    """evolve / fano / nongauss share one trajectory pipeline; only evolve
+    and nongauss report delta, so only they run the Gaussian reference."""
     built = build_model(net)
     liou = build_liouvillian(built.model, net.registry)
     rho0 = _initial_state(net)
     t_grid = list(np.linspace(0.0, net.run.t_max, net.run.n_points))
     stats: dict = {}
     states = integrate(liou, rho0, t_grid, stats=stats)
+    task = net.run.task
     leaks = []
     recs = []
     for t, st in zip(t_grid, states):
         mats = _mode_matrices(st, net.registry.dims)
         leaks.append([fock_leak(m) for m in mats])
         recs.append((t, _mean_n(mats[0]), fano_factor(mats[0]),
-                     non_gaussianity(mats[0])))
-    task = net.run.task
+                     None if task is Task.FANO else non_gaussianity(mats[0])))
+    report, notes = _leak_check(net, max(leaks, key=max))
+    results = {
+        "final_t_us": t_grid[-1],
+        "final_mean_n": recs[-1][1],
+        "final_fano": recs[-1][2],
+    }
     if task is Task.FANO:
         columns = ("t_us", "fano", "mean_n")
         rows = [(t, f, n) for (t, n, f, d) in recs]
-    elif task is Task.NONGAUSS:
+        return Result(columns, rows, results, built, stats, report, notes)
+    if task is Task.NONGAUSS:
         columns = ("t_us", "delta", "fano", "mean_n")
         rows = [(t, d, f, n) for (t, n, f, d) in recs]
     else:
         columns = ("t_us", "mean_n", "fano", "delta")
         rows = [(t, n, f, d) for (t, n, f, d) in recs]
     peak_idx = max(range(len(recs)), key=lambda k: recs[k][3])
-    report, notes = _leak_check(net, max(leaks, key=max))
-    results = {
-        "final_t_us": t_grid[-1],
-        "final_mean_n": recs[-1][1],
-        "final_fano": recs[-1][2],
-        "final_delta": recs[-1][3],
-        "peak_delta": recs[peak_idx][3],
-        "peak_delta_t_us": t_grid[peak_idx],
-    }
+    results.update(
+        final_delta=recs[-1][3],
+        peak_delta=recs[peak_idx][3],
+        peak_delta_t_us=t_grid[peak_idx],
+    )
     return Result(columns, rows, results, built, stats, report, notes)
 
 

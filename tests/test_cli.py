@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,30 @@ run.n_points = 11
 run.initial_state = coherent:0.5
 """
 
+# a driven Kerr oscillator whose states stay adequately truncated (Fock
+# leak below 1e-19) while the Gaussian reference's moment self-check fails:
+# fano reports no delta and must not run that check; nongauss must
+KERR_FANO_NET = """
+mode.a = 16
+plant.H = 5.0 rad_per_us * ad@a^2 * a@a^2 + 1.0 rad_per_us * (a@a + ad@a)
+bath.loss.a = 0.5 rad_per_us
+run.task = fano
+run.t_max = 0.5 us
+run.n_points = 21
+run.initial_state = coherent:0.5
+"""
+
+# a weakly driven lossy Kerr oscillator on a 120-point grid: the Krylov path
+# reads most grid points off the basis of a longer step
+DRIVEN_G2_NET = """
+mode.a = 8
+plant.H = 0.2 rad_per_us * ad@a^2 * a@a^2 + 0.6 rad_per_us * (a@a + ad@a)
+bath.loss.a = 2.0 rad_per_us
+run.task = g2
+run.t_max = 3.0 us
+run.n_points = 120
+"""
+
 LOSSY_STEADY_NET = """
 mode.a = {dim}
 bath.loss.a = 1.0 rad_per_us
@@ -141,7 +168,7 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["task"] == "evolve"
         assert manifest["leak_report"]["within_threshold"] is True
-        assert manifest["integrator_stats"]["method"] == "RK45"
+        assert manifest["integrator_stats"]["method"] == "krylov"
         assert (out / "summary.txt").exists()
 
     def test_table_hash_ties_to_manifest(self, tmp_path, capsys):
@@ -211,7 +238,7 @@ class TestArtifacts:
         assert res["g2_0"] > 0
         assert res["steady_mean_n"] > 0.05
         stats = manifest["integrator_stats"]
-        assert stats["method"] == "regression+RK45"
+        assert stats["method"] == "regression+krylov"
         assert stats["rhs_evaluations"] > 0
         assert stats["steady_state"]["method"] == "sparse-shift-invert"
         assert_generator_stats(stats, text)
@@ -245,6 +272,19 @@ class TestArtifacts:
         assert m1["content_hash"] == m2["content_hash"]
         assert ((out1 / "nongauss.csv").read_bytes()
                 == (out2 / "nongauss.csv").read_bytes())
+
+    def test_krylov_g2_runs_are_byte_identical(self, tmp_path, capsys):
+        out1 = run_cli(tmp_path, DRIVEN_G2_NET, sub="out1")
+        out2 = run_cli(tmp_path, DRIVEN_G2_NET, sub="out2")
+        capsys.readouterr()
+        m1 = json.loads((out1 / "manifest.json").read_text())
+        m2 = json.loads((out2 / "manifest.json").read_text())
+        stats = m1["integrator_stats"]
+        assert stats["method"] == "regression+krylov"
+        assert stats["steps"] < 119
+        assert m1["content_hash"] == m2["content_hash"]
+        assert ((out1 / "g2.csv").read_bytes()
+                == (out2 / "g2.csv").read_bytes())
 
     def test_two_mode_evolve_reduces_each_mode(self, tmp_path, capsys):
         """<n> and Fano describe the first mode; the leak check reads every
@@ -328,6 +368,24 @@ class TestExitCodes:
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "physics validation error" in capsys.readouterr().err
+
+    def test_fano_skips_the_gaussian_reference(self, tmp_path, capsys):
+        """fano reports no delta, so the Gaussian reference's self-check
+        cannot stop it; nongauss on the same model still exits 3."""
+        out = run_cli(tmp_path, KERR_FANO_NET)
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["leak_report"]["within_threshold"] is True
+        assert set(manifest["results"]) == {
+            "final_t_us", "final_mean_n", "final_fano"}
+        lines = (out / "fano.csv").read_text().strip().splitlines()
+        assert lines[1] == "t_us,fano,mean_n"
+        assert len(lines) == 2 + 21
+        text = KERR_FANO_NET.replace("run.task = fano", "run.task = nongauss")
+        nl = write_net(tmp_path, text, name="nongauss.net")
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "ng")])
+        assert rc == 3
+        assert "moment deviation" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_four(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -461,3 +519,19 @@ class TestModelAssembly:
         built = build_model(net)
         assert built.kind == "closed"
         assert built.model.channels == ()
+
+
+class TestImportCost:
+    def test_cli_import_skips_ode_and_optimization_modules(self):
+        """Every run pays the import of ``slhnet.cli`` before it parses its
+        netlist; ``scipy.integrate`` and ``scipy.optimize`` are not needed by
+        any task and must not be part of it."""
+        src = str(Path(slhnet.lindblad.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, slhnet.cli; print(' '.join(sorted(m for m in "
+                "('scipy.integrate', 'scipy.optimize') if m in sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == ""

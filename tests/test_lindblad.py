@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
+from slhnet import lindblad
 from slhnet.algebra import ModeRegistry, OperatorExpr
 from slhnet.lindblad import (
     DensityMatrix,
@@ -190,8 +192,8 @@ def driven_squeezed_model(dim: int = 6, damping: float = 1.0):
     channel on the same mode, with the reference matrices of each part.
 
     At d = 6 the spread of H is 7.96 against a dissipative bound of 16.5
-    times ``damping``: ``integrate`` runs RK45 at damping 1 and the
-    Chebyshev propagator at damping 0.1."""
+    times ``damping``: ``integrate`` runs the Krylov propagator at damping 1
+    and the Chebyshev propagator at damping 0.1."""
     reg, a = single_mode(dim)
     n = a.adjoint() * a
     N, M = 0.6, 0.3 - 0.4j
@@ -272,8 +274,8 @@ class TestJumpForm:
             assert np.max(np.abs(st.mat - exact)) < tol
 
     def test_integrate_matches_exact_propagator(self):
-        """RK45 at rtol 1e-8 / atol 1e-10."""
-        self.check_against_exact_propagator(1.0, "RK45", 1e-7)
+        """The Krylov path, its local error estimates held to 1e-12."""
+        self.check_against_exact_propagator(1.0, "krylov", 1e-10)
 
     def test_chebyshev_matches_exact_propagator(self):
         """The Chebyshev path, certified to 1e-12 per sub-step."""
@@ -300,10 +302,80 @@ class TestJumpForm:
         assert len(calls) == stats["rhs_evaluations"]
 
     def test_every_rhs_evaluation_goes_through_apply(self, monkeypatch):
-        self.check_products_go_through_apply(monkeypatch, 1.0, "RK45")
+        self.check_products_go_through_apply(monkeypatch, 1.0, "krylov")
 
     def test_every_chebyshev_product_goes_through_apply(self, monkeypatch):
         self.check_products_go_through_apply(monkeypatch, 0.1, "chebyshev")
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_happy_breakdown_is_exact(self, dim):
+        """With n = d^2 below the basis size, the Arnoldi basis becomes
+        invariant under R within n products, so one step reaches the end of
+        the grid, and every grid point is exact to 1e-12."""
+        reg, model, _ = driven_squeezed_model(dim=dim)
+        liou = build_liouvillian(model, reg)
+        S = liou.superoperator().toarray()
+        rho0 = DensityMatrix.coherent(dim, 0.3 + 0.2j)
+        t_grid = [0.0, 0.5, 3.0, 20.0]
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == "krylov"
+        assert stats["steps"] == 1
+        assert stats["rhs_evaluations"] <= dim * dim
+        for t, st in zip(t_grid, states):
+            exact = (expm(S * t) @ rho0.mat.ravel()).reshape(dim, dim)
+            assert np.max(np.abs(st.mat - exact)) < 1e-12
+
+    def test_dense_grid_matches_stepwise_expm_multiply(self):
+        """201 grid points, most of them inside a Krylov step and read off
+        its basis, against expm_multiply interval by interval."""
+        reg, model, _ = driven_squeezed_model(dim=8)
+        liou = build_liouvillian(model, reg)
+        rho0 = DensityMatrix.coherent(8, 0.6 - 0.3j)
+        t_grid = np.linspace(0.0, 5.0, 201)
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == "krylov"
+        assert stats["steps"] < len(t_grid) - 1
+        x = to_coords(rho0.mat)
+        for t0, t1, st in zip(t_grid, t_grid[1:], states[1:]):
+            x = expm_multiply(liou.R * (t1 - t0), x)
+            assert np.max(np.abs(to_coords(st.mat) - x)) < 1e-10
+
+    def test_krylov_records_its_steps(self):
+        """The manifest fields of the Krylov path, and the range box that
+        chose it."""
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        stats: dict = {}
+        integrate(liou, DensityMatrix.vacuum(6), [0.0, 0.5, 1.0, 4.0],
+                  stats=stats)
+        spread, delta = liou.range_box()
+        assert stats["hamiltonian_spread"] == spread <= delta
+        assert stats["dissipative_bound"] == delta
+        assert stats["basis"] == 30
+        assert stats["steps"] >= 1
+        assert 0 < stats["rhs_evaluations"] <= stats["basis"] * (
+            stats["steps"] + stats["rejected"])
+        assert 0.0 <= stats["error_estimate"] <= stats["tolerance"] == 1e-12
+
+    def test_rejected_steps_reuse_their_basis(self):
+        """An understated norm bound makes the first step far too long: the
+        error estimate rejects it, and the shorter retries cost no products
+        with R.  The states still match expm(S t) to 1e-10."""
+        reg, model, _ = driven_squeezed_model()
+        liou = build_liouvillian(model, reg)
+        S = liou.superoperator().toarray()
+        rho0 = DensityMatrix.coherent(6, 0.6 - 0.3j)
+        t_grid = [0.0, 0.2, 0.9, 2.5, 6.0]
+        xs, work = lindblad._krylov(liou, to_coords(rho0.mat), t_grid,
+                                    0.0, 1e-3)
+        assert work["rejected"] > 0
+        assert work["rhs_evaluations"] <= work["basis"] * work["steps"]
+        assert work["error_estimate"] <= work["tolerance"]
+        for t, x in zip(t_grid, xs):
+            exact = (expm(S * t) @ rho0.mat.ravel()).reshape(6, 6)
+            assert np.max(np.abs(from_coords(x, 6) - exact)) < 1e-10
 
     @pytest.mark.parametrize("damping", [1.0, 0.1, None])
     def test_range_box_contains_numerical_range(self, damping):
