@@ -122,7 +122,7 @@ def _model_summary(built: BuiltModel) -> str:
         out.append("dissipation channels:")
         for ch in built.model.channels:
             out.append(
-                f"  rate {ch.rate_prefactor!r} /us, bath {ch.bath.kind.value}:"
+                f"  rate {ch.rate_prefactor!r} /us, bath vacuum:"
                 f" {format_operator(ch.op)}"
             )
     else:

@@ -1,7 +1,6 @@
 """Truncated-Fock-space realization of effective models: operator matrices,
-the master-equation generator in jump form (every channel, squeezed baths
-included, as vacuum-form jump operators), time integration, and sparse
-steady states.
+the master-equation generator in jump form (one jump operator per vacuum
+channel), time integration, and sparse steady states.
 
 Integration and steady states work on real coordinates: a Hermitian rho is
 carried as x = vec(Re rho + Im rho), a real vector of length d^2 (row-major
@@ -17,7 +16,6 @@ Arnoldi (Krylov) exponential with an a posteriori error estimate
 otherwise.  Both apply R only through ``Liouvillian.apply``."""
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import warnings
@@ -168,25 +166,6 @@ class DensityMatrix:
         return DensityMatrix(np.diag(pops).astype(complex))
 
 
-def squeezed_jumps(Lmat: np.ndarray, N: float, M: complex) -> list[np.ndarray]:
-    """Jump operators C_m with D_s[L] = sum_m D[C_m] for a squeezed bath.
-
-    D_s[L]rho = (N+1) D[L]rho + N D[Ld]rho
-                + conj(M) (L rho L - (L^2 rho + rho L^2)/2)
-                + M (Ld rho Ld - (Ld^2 rho + rho Ld^2)/2)
-    has coefficient matrix G = [[N+1, conj(M)], [M, N]] over (L, Ld); with
-    G = U diag(g) U^dag, C_m = sqrt(g_m) (U_0m L + U_1m Ld), dropping g_m = 0.
-    """
-    if abs(M) ** 2 > N * (N + 1) + 1e-9:
-        raise PhysicsValidationError(
-            f"unphysical squeezed bath: |M|^2={abs(M)**2:.6g} > N(N+1)={N*(N+1):.6g}"
-        )
-    g, U = np.linalg.eigh([[N + 1, np.conj(M)], [M, N]])
-    Ld = Lmat.conj().T
-    return [np.sqrt(gm) * (U[0, m] * Lmat + U[1, m] * Ld)
-            for m, gm in enumerate(g) if gm > 0.0]
-
-
 def to_coords(rho: np.ndarray) -> np.ndarray:
     """Real coordinates x = vec(Re rho + Im rho) of a Hermitian rho."""
     return (rho.real + rho.imag).ravel()
@@ -314,24 +293,15 @@ class Liouvillian:
         return self._dense
 
 
-def build_liouvillian(model, registry: ModeRegistry) -> Liouvillian:
-    """Assemble the generator of an EffectiveModel over a registry."""
-    from .network import BathKind  # cycle-free: network imports algebra only
-
-    Hmat = to_matrix(model.H_eff, registry)
-    dim = Hmat.shape[0]
-    if dim * dim > DIM_CAP * DIM_CAP:
-        raise PhysicsValidationError("Liouvillian dimension cap exceeded")
-    herm = np.max(np.abs(Hmat - Hmat.conj().T)) if dim else 0.0
+def build_liouvillian(model) -> Liouvillian:
+    """Assemble the generator of an EffectiveModel over its registry: one
+    jump operator sqrt(rate) L per channel."""
+    Hmat = to_matrix(model.H_eff, model.registry)
+    herm = np.max(np.abs(Hmat - Hmat.conj().T))
     if herm > 1e-9:
         raise PhysicsValidationError(f"H_eff matrix not Hermitian: {herm:.2e}")
-    jumps = []
-    for ch in model.channels:
-        Lmat = np.sqrt(ch.rate_prefactor) * to_matrix(ch.op, registry)
-        if ch.bath.kind is BathKind.VACUUM:
-            jumps.append(Lmat)
-        else:
-            jumps.extend(squeezed_jumps(Lmat, ch.bath.N, ch.bath.M))
+    jumps = [np.sqrt(ch.rate_prefactor) * to_matrix(ch.op, model.registry)
+             for ch in model.channels]
     return Liouvillian(Hmat=Hmat, jumps=jumps)
 
 
@@ -557,9 +527,8 @@ def _degree(ell: float, log_rho: float) -> tuple[int, float]:
 
 
 def _chebyshev_plan(ell: float, log_rho: float) -> tuple[int, np.ndarray, float]:
-    """(m, coefficients, bound) of an interval ell = c dt cut into m equal
-    sub-steps, with m minimizing the products m K(ell / m) among the stable
-    counts from the fewest, m_lo, to 2 m_lo.
+    """(m, coefficients, bound) of an interval ell = c dt cut into the
+    fewest m equal sub-steps that are stable.
 
     A sub-step is stable when the rounding of its sum stays within the
     tolerance: ||phi_k|| <= (1 + sqrt 2) rho^k ||x|| (Crouzeix-Palencia
@@ -568,13 +537,13 @@ def _chebyshev_plan(ell: float, log_rho: float) -> tuple[int, np.ndarray, float]
     eps (1 + sqrt 2) rho^K (1 + sqrt(2 K)).  A long interval has to be cut:
     rho^ell grows without limit, and with it both that rounding and the
     degree per unit of ell.  Since K(l) > l, no count below
-    ell log_rho / LOG_ROUNDING_BUDGET is stable; m_lo is found from there
-    by doubling and bisection.
+    ell log_rho / LOG_ROUNDING_BUDGET is stable; m is found from there by
+    doubling and bisection.  Larger counts lower the degree per sub-step
+    but seldom the products m K(ell / m): on sampled intervals up to
+    ell = 3e4 the cheapest count up to 2 m saved at most 0.2 %.
     """
-    degree = functools.cache(lambda m: _degree(ell / m, log_rho)[0])
-
     def stable(m: int) -> bool:
-        K = degree(m)
+        K = _degree(ell / m, log_rho)[0]
         return K * log_rho + math.log1p(math.sqrt(2 * K)) <= LOG_ROUNDING_BUDGET
 
     lo = hi = max(1, math.ceil(ell * log_rho / LOG_ROUNDING_BUDGET))
@@ -586,7 +555,7 @@ def _chebyshev_plan(ell: float, log_rho: float) -> tuple[int, np.ndarray, float]
             hi = mid
         else:
             lo = mid
-    m = min(range(hi, 2 * hi + 1), key=lambda j: (j * degree(j), j))
+    m = hi
     K, err = _degree(ell / m, log_rho)
     coef = special.jv(np.arange(K), ell / m)
     coef[1:] *= 2.0

@@ -445,11 +445,6 @@ class _Parser:
         if not mode_decls:
             self.err(1, 1, "no modes declared (need at least one mode.<label>)")
             return None
-        labels = [l for l, _, _ in mode_decls]
-        for lab, _, ln in mode_decls:
-            if labels.count(lab) > 1:
-                self.err(ln, 1, f"duplicate mode label {lab!r}")
-                return None
         registry = ModeRegistry(tuple((l, t) for l, t, _ in mode_decls))
 
         plant_H = OperatorExpr.zero(registry)
@@ -502,7 +497,7 @@ class _Parser:
             if loop is not None:
                 loops.append(loop)
 
-        run = self._assemble_run(run_fields, registry)
+        run = RunBlock(**run_fields)
         if self.diags:
             return None
         return Netlist(
@@ -650,16 +645,6 @@ class _Parser:
                  f"unknown initial_state {value!r} "
                  "(vacuum | fock:<n> | coherent:<z>)")
         return None
-
-    def _assemble_run(self, run_fields, registry) -> RunBlock:
-        return RunBlock(
-            task=run_fields.get("task", Task.EVOLVE),
-            t_max=run_fields.get("t_max", 1.0),
-            n_points=run_fields.get("n_points", 100),
-            initial_state=run_fields.get("initial_state", StateSpec("vacuum")),
-            high_gain=run_fields.get("high_gain", False),
-            tau_star=run_fields.get("tau_star", DEFAULT_TAU_STAR_US),
-        )
 
 
 def _loop_sort_key(ident: str):

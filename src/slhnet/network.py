@@ -22,9 +22,8 @@ integration engine).
 from __future__ import annotations
 
 import cmath
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import ModeRegistry, OperatorExpr, is_hermitian
 
@@ -37,57 +36,20 @@ class NetworkError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Bath descriptions and dissipation channels
+# Dissipation channels
 # ---------------------------------------------------------------------------
-
-class BathKind(enum.Enum):
-    VACUUM = "vacuum"
-    SQUEEZED = "squeezed"
-
-
-@dataclass(frozen=True)
-class Bath:
-    """Input-field statistics of a dissipation channel.
-
-    For a squeezed bath, ``N`` is the thermal-like photon number and ``M``
-    the anomalous correlation; physicality requires ``|M|^2 <= N (N + 1)``.
-    """
-
-    kind: BathKind = BathKind.VACUUM
-    N: float = 0.0
-    M: complex = 0.0
-
-    def __post_init__(self):
-        if self.kind is BathKind.VACUUM:
-            if self.N != 0.0 or self.M != 0.0:
-                raise NetworkError("vacuum bath must have N = M = 0")
-        else:
-            if self.N < 0:
-                raise NetworkError("squeezed bath needs N >= 0")
-            if abs(self.M) ** 2 > self.N * (self.N + 1.0) + 1e-9:
-                raise NetworkError(
-                    "unphysical squeezed bath: |M|^2 > N (N + 1)"
-                )
-
-    @classmethod
-    def vacuum(cls) -> "Bath":
-        return cls()
-
-    @classmethod
-    def squeezed(cls, N: float, M: complex) -> "Bath":
-        return cls(kind=BathKind.SQUEEZED, N=N, M=M)
-
 
 @dataclass(frozen=True)
 class DissipationChannel:
-    """A single Lindblad channel: operator, bath statistics and a rate.
+    """A single Lindblad channel into a vacuum bath: operator and a rate.
 
     The total damping rate is ``rate_prefactor`` (the operator itself may
-    carry additional scale).
+    carry additional scale).  A squeezed input, such as the amplifier's
+    noise, enters as a Bogoliubov-mixed operator (see
+    :func:`eliminate_amplifier`).
     """
 
     op: OperatorExpr
-    bath: Bath = field(default_factory=Bath)
     rate_prefactor: float = 1.0
 
     def __post_init__(self):
@@ -171,8 +133,7 @@ class AmplifierParams:
     """Degenerate parametric amplifier: linewidth ``kappa``, pump ``xi``.
 
     Derived quantities: squeezing parameter ``r0 = ln((kappa + xi) /
-    (kappa - xi))``, power gain ``G0 = cosh(r0)^2`` and the effective
-    squeezed-bath moments ``N = sinh(r0)^2`` and ``M = -cosh(r0) sinh(r0)``.
+    (kappa - xi))`` and power gain ``G0 = cosh(r0)^2``.
     Requires ``0 <= xi < kappa`` with a guard band ``(kappa - xi) / kappa
     >= 1e-6`` away from the instability threshold.
     """
@@ -209,14 +170,6 @@ class AmplifierParams:
     @property
     def G0(self) -> float:
         return math.cosh(self.r0) ** 2
-
-    @property
-    def N(self) -> float:
-        return math.sinh(self.r0) ** 2
-
-    @property
-    def M(self) -> float:
-        return -math.sinh(self.r0) * math.cosh(self.r0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +233,13 @@ class EffectiveModel:
 # Full composite (amplifier retained)
 # ---------------------------------------------------------------------------
 
-def _extend_registry(reg: ModeRegistry, label: str, dim: int) -> ModeRegistry:
-    if label in reg.labels:
-        raise NetworkError(f"mode label {label!r} already used by the plant")
+def _extend_registry(reg: ModeRegistry, dim: int) -> ModeRegistry:
+    """The plant registry with an amplifier mode of truncation ``dim``
+    appended, labelled ``c`` unless a plant mode already is (then ``c_``,
+    ``c__``, ...)."""
+    label = "c"
+    while label in reg.labels:
+        label += "_"
     return ModeRegistry(tuple(zip(reg.labels, reg.dims)) + ((label, dim),))
 
 
@@ -299,13 +256,14 @@ def amplifier_slh(
     A: float,
     phi: float,
     registry: ModeRegistry,
-    label: str = "c",
 ) -> SLHTriple:
-    """SLH triple of the driven degenerate parametric amplifier.
+    """SLH triple of the driven degenerate parametric amplifier on the
+    last mode ``c`` of ``registry``.
 
     ``(0, sqrt(kappa) c, (i xi / 4)(c^dag^2 - c^2)
     + sqrt(kappa) A (e^{i phi} c + c^dag e^{-i phi}))``.
     """
+    label = registry.labels[-1]
     c = OperatorExpr.annihilation(registry, label)
     cd = OperatorExpr.creation(registry, label)
     sqk = math.sqrt(amp.kappa)
@@ -314,38 +272,35 @@ def amplifier_slh(
     return SLHTriple(theta=0.0, L=sqk * c, H=h_pump + h_drive)
 
 
-def compose_loop_full(
-    spec: FeedbackLoopSpec,
-    amp_dim: int,
-    amp_label: str = "c",
-) -> SLHTriple:
+def compose_loop_full(spec: FeedbackLoopSpec, amp_dim: int) -> SLHTriple:
     """Full loop composite with the amplifier mode retained.
 
     Chains plant output coupling -> amplifier -> plant return coupling via
     the series product.  The result lives on the plant registry extended by
-    the amplifier mode (truncation ``amp_dim``).
+    the amplifier mode (truncation ``amp_dim``), appended last.
     """
-    big = _extend_registry(spec.registry, amp_label, amp_dim)
+    big = _extend_registry(spec.registry, amp_dim)
     h_plant = _lift(spec.plant_H, big)
     l_out = _lift(spec.L, big)
     l_ret = _lift(spec.L_f, big)
     zero = OperatorExpr.zero(big)
 
     g_out = SLHTriple(theta=spec.theta, L=l_out, H=h_plant)
-    g_amp = amplifier_slh(spec.amp, spec.A, spec.phi, big, amp_label)
+    g_amp = amplifier_slh(spec.amp, spec.A, spec.phi, big)
     g_ret = SLHTriple(theta=spec.theta, L=l_ret, H=zero)
     return series_product(series_product(g_out, g_amp), g_ret)
 
 
-def _compose_loop_direct(
-    spec: FeedbackLoopSpec, big: ModeRegistry, amp_label: str
-) -> SLHTriple:
-    """Directly expanded loop composite (independent of series chaining);
-    the reference the tests hold :func:`compose_loop_full` to."""
+def _compose_loop_direct(spec: FeedbackLoopSpec,
+                         big: ModeRegistry) -> SLHTriple:
+    """Directly expanded loop composite (independent of series chaining),
+    with the amplifier on the last mode of ``big``; the reference the tests
+    hold :func:`compose_loop_full` to."""
     s = cmath.exp(1j * spec.theta)
     sqk = math.sqrt(spec.amp.kappa)
-    c = OperatorExpr.annihilation(big, amp_label)
-    cd = OperatorExpr.creation(big, amp_label)
+    label = big.labels[-1]
+    c = OperatorExpr.annihilation(big, label)
+    cd = OperatorExpr.creation(big, label)
     h = _lift(spec.plant_H, big)
     l_out = _lift(spec.L, big)
     l_ret = _lift(spec.L_f, big)

@@ -24,7 +24,6 @@ from .lindblad import (
     trace_distance,
 )
 from .network import (
-    Bath,
     DissipationChannel,
     EffectiveModel,
     FeedbackLoopSpec,
@@ -44,21 +43,20 @@ def full_loop_simulate(
     rho_plant0: DensityMatrix,
     t_grid,
     amp_dim: int = AMP_TRUNCATION,
-    amp_label: str = "c",
 ) -> list[DensityMatrix]:
     """Evolve the plant (+ amplifier in vacuum) under the full composite.
 
     Returns the plant-reduced states along ``t_grid``; validates trace and
     hermiticity of every reduced state.
     """
-    composite = compose_loop_full(spec, amp_dim, amp_label)
+    composite = compose_loop_full(spec, amp_dim)
     big = composite.registry
     model = EffectiveModel(
         H_eff=composite.H,
-        channels=(DissipationChannel(op=composite.L, bath=Bath.vacuum()),),
+        channels=(DissipationChannel(op=composite.L),),
         registry=big,
     )
-    liou = build_liouvillian(model, big)
+    liou = build_liouvillian(model)
 
     amp_vac = DensityMatrix.vacuum(amp_dim)
     joint0 = DensityMatrix(np.kron(rho_plant0.mat, amp_vac.mat))
@@ -121,7 +119,7 @@ def elimination_error(
     t_grid = [0.0, probe_time]
 
     eliminated = eliminate_amplifier(spec)
-    liou_red = build_liouvillian(eliminated, spec.registry)
+    liou_red = build_liouvillian(eliminated)
     red_states = integrate(liou_red, rho_plant0, t_grid)
     rho_model = red_states[-1]
 

@@ -38,7 +38,6 @@ from .lindblad import (
 from .netlist import LoopDecl, Netlist, Task
 from .network import (
     AmplifierParams,
-    Bath,
     DissipationChannel,
     EffectiveModel,
     FeedbackLoopSpec,
@@ -272,7 +271,6 @@ def _loss_channels(net: Netlist) -> list[DissipationChannel]:
         out.append(
             DissipationChannel(
                 op=OperatorExpr.annihilation(net.registry, label),
-                bath=Bath.vacuum(),
                 rate_prefactor=rate,
             )
         )
@@ -449,7 +447,7 @@ def _run_time_series(net: Netlist) -> Result:
     """evolve / fano / nongauss share one trajectory pipeline; only evolve
     and nongauss report delta, so only they run the Gaussian reference."""
     built = build_model(net)
-    liou = build_liouvillian(built.model, net.registry)
+    liou = build_liouvillian(built.model)
     rho0 = _initial_state(net)
     t_grid = list(np.linspace(0.0, net.run.t_max, net.run.n_points))
     stats: dict = {}
@@ -489,7 +487,7 @@ def _run_time_series(net: Netlist) -> Result:
 
 def _run_steady(net: Netlist) -> Result:
     built = build_model(net)
-    liou = build_liouvillian(built.model, net.registry)
+    liou = build_liouvillian(built.model)
     stats: dict = {}
     rho = steady_state(liou, stats=stats)
     mats = _mode_matrices(rho, net.registry.dims)
@@ -509,7 +507,7 @@ def _run_g2(net: Netlist) -> Result:
     if len(net.registry) != 1:
         raise PhysicsValidationError("g2 task supports single-mode netlists")
     dims = net.registry.dims
-    liou = build_liouvillian(built.model, net.registry)
+    liou = build_liouvillian(built.model)
     steady_stats: dict = {}
     rho = steady_state(liou, stats=steady_stats)
     taus = list(np.linspace(0.0, net.run.t_max, net.run.n_points))
@@ -642,7 +640,12 @@ def retruncate(net: Netlist, trunc: int) -> Netlist:
 
 
 def override_key(net: Netlist, key: str, value: float) -> Netlist:
-    """Set one numeric netlist key (canonical units: rad/us, us, raw)."""
+    """Set one numeric netlist key (canonical units: rad/us, us, raw),
+    within the bounds the netlist parser enforces on that key."""
+    def require(ok: bool, bound: str) -> None:
+        if not ok:
+            raise PhysicsValidationError(f"{key} must {bound}, got {value!r}")
+
     parts = key.split(".")
     if len(parts) == 3 and parts[0] == "loop":
         ident, fld = parts[1], parts[2]
@@ -654,6 +657,10 @@ def override_key(net: Netlist, key: str, value: float) -> Netlist:
                 continue
             hit = True
             if fld in ("theta", "phi", "A"):
+                if fld == "phi":
+                    require(-math.pi <= value <= math.pi, "lie in [-pi, pi]")
+                elif fld == "A":
+                    require(value >= 0, "be non-negative")
                 loops.append(dataclasses.replace(lp, **{fld: value}))
             elif fld == "G0":
                 loops.append(dataclasses.replace(
@@ -669,15 +676,20 @@ def override_key(net: Netlist, key: str, value: float) -> Netlist:
             raise PhysicsValidationError(f"no loop {ident!r} to sweep")
         return dataclasses.replace(net, loops=tuple(loops))
     if key == "run.t_max":
+        require(value > 0, "be positive")
         return dataclasses.replace(
             net, run=dataclasses.replace(net.run, t_max=value)
         )
     if key == "drive.A":
+        require(value >= 0, "be non-negative")
         return dataclasses.replace(net, drive_A=value, has_drive=True)
     if key == "drive.phi":
         return dataclasses.replace(net, drive_phi=value, has_drive=True)
     if len(parts) == 3 and parts[0] == "bath" and parts[1] == "loss":
         label = parts[2]
+        if label not in net.registry.labels:
+            raise PhysicsValidationError(f"no mode {label!r} to sweep")
+        require(value >= 0, "be non-negative")
         losses = tuple(
             (l, value if l == label else r) for l, r in net.losses
         )

@@ -132,7 +132,7 @@ run.n_points = 3
 def assert_generator_stats(stats: dict, text: str) -> None:
     """The recorded size of R is that of the run's model, rebuilt."""
     net = parse(text)
-    R = build_liouvillian(build_model(net).model, net.registry).R
+    R = build_liouvillian(build_model(net).model).R
     assert stats["generator_nnz"] == R.nnz > 0
     n = R.shape[0]
     assert stats["generator_bytes"] == (
@@ -484,6 +484,41 @@ class TestOverridesAndSweeps:
         net = parse(EVOLVE_NET)
         with pytest.raises(PhysicsValidationError, match="does not support"):
             override_key(net, "plant.H", 1.0)
+
+    @pytest.mark.parametrize("key,value,bound", [
+        ("run.t_max", 0.0, "be positive"),
+        ("run.t_max", -0.5, "be positive"),
+        ("run.t_max", math.nan, "be positive"),
+        ("bath.loss.a", -1.0, "be non-negative"),
+        ("bath.loss.b", 1.0, "no mode 'b'"),
+        ("loop.p.phi", 3.2, r"lie in \[-pi, pi\]"),
+        ("loop.p.phi", -3.2, r"lie in \[-pi, pi\]"),
+        ("loop.p.A", -0.1, "be non-negative"),
+        ("drive.A", -0.1, "be non-negative"),
+    ])
+    def test_override_keeps_the_parser_bounds(self, key, value, bound):
+        """A swept value is held to the bound the parser puts on its key."""
+        with pytest.raises(PhysicsValidationError, match=bound):
+            override_key(parse(PUMPED_NET), key, value)
+
+    def test_override_accepts_the_bounds_themselves(self):
+        net = parse(PUMPED_NET)
+        assert override_key(net, "loop.p.phi", math.pi).loops[0].phi == math.pi
+        assert override_key(net, "bath.loss.a", 0.0).losses == (("a", 0.0),)
+
+    @pytest.mark.parametrize("sweep", ["run.t_max=0:1:2",
+                                       "bath.loss.a=-1:0:2",
+                                       "loop.p.phi=0:4:2"])
+    def test_out_of_bounds_sweep_is_exit_three(self, tmp_path, capsys, sweep):
+        """Rejected before any point runs: no subdirectory, no traceback."""
+        nl = write_net(tmp_path, PUMPED_NET)
+        outdir = tmp_path / "sweep"
+        rc = main(["--netlist", str(nl), "--out", str(outdir),
+                   "--sweep", sweep])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("physics validation error: ")
+        assert not outdir.exists()
 
 
 class TestModelAssembly:

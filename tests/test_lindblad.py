@@ -23,7 +23,6 @@ from slhnet.lindblad import (
     from_coords,
     integrate,
     partial_trace,
-    squeezed_jumps,
     steady_state,
     to_coords,
     to_matrix,
@@ -31,7 +30,6 @@ from slhnet.lindblad import (
 )
 from slhnet.network import (
     AmplifierParams,
-    Bath,
     DissipationChannel,
     EffectiveModel,
     FeedbackLoopSpec,
@@ -95,9 +93,16 @@ class TestMatrixRealization:
         )
 
     def test_dimension_cap_enforced(self):
-        reg = ModeRegistry((("a", 70), ("b", 70)))
-        with pytest.raises(PhysicsValidationError, match="cap"):
-            to_matrix(OperatorExpr.number(reg, "a"), reg)
+        """Two modes of 65 levels (4225 > DIM_CAP = 4096): ``to_matrix``
+        refuses them, and so ``build_liouvillian`` refuses the model before
+        it assembles a generator."""
+        reg = ModeRegistry((("a", 65), ("b", 65)))
+        n_a = OperatorExpr.number(reg, "a")
+        with pytest.raises(PhysicsValidationError, match="exceeds cap"):
+            to_matrix(n_a, reg)
+        model = EffectiveModel(H_eff=n_a, channels=(), registry=reg)
+        with pytest.raises(PhysicsValidationError, match="exceeds cap"):
+            build_liouvillian(model)
 
 
 def zero_hamiltonian(dim: int) -> np.ndarray:
@@ -119,6 +124,24 @@ def squeezed_dissipator_reference(L, N, M, rho):
         + N * vacuum_dissipator_reference(Ld, rho)
         + np.conj(M) * (L @ rho @ L - 0.5 * (L2 @ rho + rho @ L2))
         + M * (Ld @ rho @ Ld - 0.5 * (Ld2 @ rho + rho @ Ld2))
+    )
+
+
+def squeezed_channels(op: OperatorExpr, N: float, M: complex, rate: float):
+    """Vacuum channels whose dissipators add up to the squeezed-bath
+    dissipator rate D_s[L] of ``squeezed_dissipator_reference``, L = ``op``.
+
+    D_s has the coefficient matrix G = [[N+1, conj(M)], [M, N]] over
+    (L, L^dag); with G = U diag(g) U^dag it is sum_m D[C_m] for the
+    Bogoliubov operators C_m = sqrt(g_m) (U_0m L + U_1m L^dag), g_m > 0.
+    """
+    g, U = np.linalg.eigh([[N + 1, np.conj(M)], [M, N]])
+    return tuple(
+        DissipationChannel(
+            op=math.sqrt(gm) * (U[0, m] * op + U[1, m] * op.adjoint()),
+            rate_prefactor=rate,
+        )
+        for m, gm in enumerate(g) if gm > 0.0
     )
 
 
@@ -145,51 +168,22 @@ class TestDissipators:
             out = act(liou, random_density(5, rng))
             assert abs(np.trace(out)) < 1e-12
 
-    def test_squeezed_reduces_to_vacuum_at_zero_bath(self):
-        rng = np.random.default_rng(5)
-        L = annihilation_matrix(6)
-        rho = random_density(6, rng)
-        jumps = squeezed_jumps(L, 0.0, 0.0)
-        assert len(jumps) == 1
-        assert_close_matrices(
-            act(Liouvillian(zero_hamiltonian(6), jumps=jumps), rho),
-            act(Liouvillian(zero_hamiltonian(6), jumps=[L]), rho),
-            1e-14,
-            "N=M=0 reduction",
-        )
-
-    def test_squeezed_rejects_unphysical_bath(self):
-        L = annihilation_matrix(4)
-        with pytest.raises(PhysicsValidationError, match="unphysical"):
-            squeezed_jumps(L, 0.5, 1.2)
-
-    def test_squeezed_dissipator_traceless(self):
-        rng = np.random.default_rng(6)
-        L = annihilation_matrix(6)
-        liou = Liouvillian(zero_hamiltonian(6), jumps=squeezed_jumps(L, 0.8, 0.6 + 0.2j))
-        for _ in range(20):
-            out = act(liou, random_density(6, rng))
-            assert abs(np.trace(out)) < 1e-12
-
 
 def squeezed_cavity_liouvillian(dim: int, gamma: float, N: float, M: complex):
     """Single lossy mode relaxing into a squeezed bath, H = 0."""
     reg, a = single_mode(dim)
     model = EffectiveModel(
         H_eff=OperatorExpr.zero(reg),
-        channels=(
-            DissipationChannel(
-                op=a, bath=Bath.squeezed(N, M), rate_prefactor=gamma
-            ),
-        ),
+        channels=squeezed_channels(a, N, M, gamma),
         registry=reg,
     )
-    return build_liouvillian(model, reg)
+    return build_liouvillian(model)
 
 
 def driven_squeezed_model(dim: int = 6, damping: float = 1.0):
-    """A Kerr oscillator with a drive, a vacuum channel and a squeezed
-    channel on the same mode, with the reference matrices of each part.
+    """A Kerr oscillator with a drive, a vacuum channel and the Bogoliubov
+    channels of a squeezed bath on the same mode, with the parameters of
+    each part.
 
     At d = 6 the spread of H is 7.96 against a dissipative bound of 16.5
     times ``damping``: ``integrate`` runs the Krylov propagator at damping 1
@@ -200,12 +194,8 @@ def driven_squeezed_model(dim: int = 6, damping: float = 1.0):
     rate_v, rate_s = 0.7 * damping, 0.45 * damping
     model = EffectiveModel(
         H_eff=0.8 * n + 0.15 * n * n + 0.25 * (a + a.adjoint()),
-        channels=(
-            DissipationChannel(op=a, rate_prefactor=rate_v),
-            DissipationChannel(
-                op=a, bath=Bath.squeezed(N, M), rate_prefactor=rate_s
-            ),
-        ),
+        channels=(DissipationChannel(op=a, rate_prefactor=rate_v),)
+        + squeezed_channels(a, N, M, rate_s),
         registry=reg,
     )
     return reg, model, (N, M, rate_v, rate_s)
@@ -215,7 +205,7 @@ class TestJumpForm:
     def test_superoperator_matches_jump_form(self):
         """S vec(x) = vec(K x + x K^dag + sum C x C^dag), x not Hermitian."""
         reg, model, _ = driven_squeezed_model()
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         S = liou.superoperator()
         K = liou.K
         rng = np.random.default_rng(21)
@@ -231,7 +221,7 @@ class TestJumpForm:
     def test_apply_matches_sparse_superoperator(self):
         """R to_coords(rho) rebuilds S vec(rho) on Hermitian rho."""
         reg, model, _ = driven_squeezed_model()
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         S = liou.superoperator()
         rng = np.random.default_rng(23)
         for _ in range(5):
@@ -242,7 +232,7 @@ class TestJumpForm:
 
     def test_apply_matches_four_term_dissipator(self):
         reg, model, (N, M, rate_v, rate_s) = driven_squeezed_model()
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         H = to_matrix(model.H_eff, reg)
         L = annihilation_matrix(6)
         rng = np.random.default_rng(22)
@@ -262,7 +252,7 @@ class TestJumpForm:
     def check_against_exact_propagator(self, damping, method, tol):
         """``integrate`` against expm(S t) vec(rho0) on a non-uniform grid."""
         reg, model, _ = driven_squeezed_model(damping=damping)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         S = liou.superoperator().toarray()
         rho0 = DensityMatrix.coherent(6, 0.6 - 0.3j)
         t_grid = [0.0, 0.2, 0.9, 2.5, 6.0]
@@ -285,7 +275,7 @@ class TestJumpForm:
         """The benchmark's tracer counts right-hand sides as the calls of
         ``Liouvillian.apply`` made by ``integrate``."""
         reg, model, _ = driven_squeezed_model(damping=damping)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         calls = []
         apply = Liouvillian.apply
 
@@ -313,7 +303,7 @@ class TestJumpForm:
         invariant under R within n products, so one step reaches the end of
         the grid, and every grid point is exact to 1e-12."""
         reg, model, _ = driven_squeezed_model(dim=dim)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         S = liou.superoperator().toarray()
         rho0 = DensityMatrix.coherent(dim, 0.3 + 0.2j)
         t_grid = [0.0, 0.5, 3.0, 20.0]
@@ -330,7 +320,7 @@ class TestJumpForm:
         """201 grid points, most of them inside a Krylov step and read off
         its basis, against expm_multiply interval by interval."""
         reg, model, _ = driven_squeezed_model(dim=8)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         rho0 = DensityMatrix.coherent(8, 0.6 - 0.3j)
         t_grid = np.linspace(0.0, 5.0, 201)
         stats: dict = {}
@@ -346,7 +336,7 @@ class TestJumpForm:
         """The manifest fields of the Krylov path, and the range box that
         chose it."""
         reg, model, _ = driven_squeezed_model()
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         stats: dict = {}
         integrate(liou, DensityMatrix.vacuum(6), [0.0, 0.5, 1.0, 4.0],
                   stats=stats)
@@ -364,7 +354,7 @@ class TestJumpForm:
         error estimate rejects it, and the shorter retries cost no products
         with R.  The states still match expm(S t) to 1e-10."""
         reg, model, _ = driven_squeezed_model()
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         S = liou.superoperator().toarray()
         rho0 = DensityMatrix.coherent(6, 0.6 - 0.3j)
         t_grid = [0.0, 0.2, 0.9, 2.5, 6.0]
@@ -385,7 +375,7 @@ class TestJumpForm:
         reg, model, _ = driven_squeezed_model(damping=damping or 1.0)
         if damping is None:
             model = EffectiveModel(H_eff=model.H_eff, channels=(), registry=reg)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         spread, delta = liou.range_box()
         R = liou.R.toarray()
         re = np.linalg.eigvalsh((R + R.T) / 2)
@@ -400,7 +390,7 @@ class TestJumpForm:
         """The manifest fields of the Chebyshev path, and the range box
         that chose it."""
         reg, model, _ = driven_squeezed_model(damping=0.1)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         stats: dict = {}
         integrate(liou, DensityMatrix.vacuum(6), [0.0, 0.5, 1.0, 4.0],
                   stats=stats)
@@ -426,7 +416,7 @@ class TestJumpForm:
             H_eff=2.0 * n + 0.5 * n * n + 0.3 * (a + a.adjoint()),
             channels=channels, registry=reg,
         )
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         spread, delta = liou.range_box()
         t_end = 2.5e4 / (spread + delta)
         rho0 = DensityMatrix.coherent(8, 0.5)
@@ -460,7 +450,7 @@ class TestRealCoordinates:
     def test_generator_storage(self):
         """R is canonical CSR with contiguous float64 data: the fast matvec."""
         reg, model, _ = driven_squeezed_model()
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         R = liou.R
         assert R.shape == (36, 36)
         assert R.has_sorted_indices
@@ -519,7 +509,7 @@ class TestLiouvillianAssembly:
         model = EffectiveModel(
             H_eff=omega * a.adjoint() * a, channels=(), registry=reg
         )
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         w = np.linalg.eigvals(liou.as_dense())
         expected = [
             -1j * omega * (j - k) for j in range(dim) for k in range(dim)
@@ -534,15 +524,11 @@ class TestLiouvillianAssembly:
         reg, a = single_mode(dim)
         model = EffectiveModel(
             H_eff=0.4 * a.adjoint() * a + 0.2 * (a + a.adjoint()),
-            channels=(
-                DissipationChannel(op=a, rate_prefactor=0.8),
-                DissipationChannel(
-                    op=a, bath=Bath.squeezed(0.5, 0.4j), rate_prefactor=0.3
-                ),
-            ),
+            channels=(DissipationChannel(op=a, rate_prefactor=0.8),)
+            + squeezed_channels(a, 0.5, 0.4j, 0.3),
             registry=reg,
         )
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         rng = np.random.default_rng(7)
         for _ in range(25):
             rho = random_density(dim, rng)
@@ -556,7 +542,7 @@ class TestLiouvillianAssembly:
         n = a.adjoint() * a
         model = EffectiveModel(H_eff=0.5 * n + 0.2 * n * n, channels=(),
                                registry=reg)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         rng = np.random.default_rng(8)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
@@ -574,7 +560,7 @@ class TestLiouvillianAssembly:
         object.__setattr__(model, "channels", ())
         object.__setattr__(model, "registry", reg)
         with pytest.raises(PhysicsValidationError, match="Hermitian"):
-            build_liouvillian(model, reg)
+            build_liouvillian(model)
 
 
 class TestEliminationConsistency:
@@ -590,8 +576,8 @@ class TestEliminationConsistency:
             L_f=math.sqrt(0.1) * a,
             amp=AmplifierParams.from_gain(100.0),
         )
-        rho_fin = steady_state(build_liouvillian(eliminate_amplifier(spec), reg))
-        rho_lim = steady_state(build_liouvillian(high_gain_limit(spec), reg))
+        rho_fin = steady_state(build_liouvillian(eliminate_amplifier(spec)))
+        rho_lim = steady_state(build_liouvillian(high_gain_limit(spec)))
         assert fock_leak(rho_fin.mat) < 1e-4
         assert trace_distance(rho_fin.mat, rho_lim.mat) < 0.05
 
@@ -612,7 +598,7 @@ class TestIntegration:
             channels=(DissipationChannel(op=a, rate_prefactor=gamma),),
             registry=reg,
         )
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         nmat = to_matrix(a.adjoint() * a, reg)
         t_grid = [0.0, 1.0, 2.5, 5.0 / gamma]
         states = integrate(liou, DensityMatrix.fock(dim, 1), t_grid)
@@ -643,7 +629,7 @@ class TestIntegration:
             channels=(DissipationChannel(op=a, rate_prefactor=0.6),),
             registry=reg,
         )
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         rng = np.random.default_rng(11)
         for _ in range(200):
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -664,7 +650,7 @@ class TestSteadyState:
             channels=(DissipationChannel(op=a, rate_prefactor=0.8),),
             registry=reg,
         )
-        rho = steady_state(build_liouvillian(model, reg))
+        rho = steady_state(build_liouvillian(model))
         assert trace_distance(rho.mat, DensityMatrix.vacuum(dim).mat) < 1e-9
 
     @pytest.mark.parametrize("dim", [50, 121])
@@ -677,7 +663,7 @@ class TestSteadyState:
             registry=reg,
         )
         stats: dict = {}
-        rho = steady_state(build_liouvillian(model, reg), stats=stats)
+        rho = steady_state(build_liouvillian(model), stats=stats)
         assert trace_distance(rho.mat, DensityMatrix.vacuum(dim).mat) < 1e-9
         assert stats["method"] == "sparse-shift-invert"
         assert stats["residual"] < 1e-9
@@ -701,7 +687,7 @@ class TestSteadyState:
             H_eff=0.7 * a.adjoint() * a, channels=(), registry=reg
         )
         with pytest.raises(PhysicsValidationError, match="degenerate"):
-            steady_state(build_liouvillian(model, reg))
+            steady_state(build_liouvillian(model))
 
     @pytest.mark.parametrize("dim,loss", [(4, 1e-12), (50, None), (50, 1e-12)])
     def test_unresolved_kernel_reported(self, dim, loss):
@@ -715,7 +701,7 @@ class TestSteadyState:
         model = EffectiveModel(H_eff=0.7 * n + 0.05 * n * n,
                                channels=channels, registry=reg)
         with pytest.raises(PhysicsValidationError, match="degenerate"):
-            steady_state(build_liouvillian(model, reg))
+            steady_state(build_liouvillian(model))
 
     def test_zero_generator_reported_degenerate(self):
         with pytest.raises(PhysicsValidationError, match="degenerate"):

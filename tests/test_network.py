@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import slhnet
 from slhnet.algebra import ModeRegistry, OperatorExpr
 from slhnet.netlist import parse
 from slhnet.network import (
@@ -109,14 +110,6 @@ class TestAmplifierParameters:
             r0 = math.log((kappa + xi) / (kappa - xi))
             assert abs(amp.r0 - r0) < 1e-12 * max(1.0, abs(r0))
             assert abs(amp.G0 - math.cosh(r0) ** 2) < 1e-9 * amp.G0
-            assert abs(amp.N - math.sinh(r0) ** 2) < 1e-9 * max(amp.N, 1.0)
-            assert abs(amp.M + math.sinh(r0) * math.cosh(r0)) < 1e-9 * max(
-                abs(amp.M), 1.0
-            )
-            # squeezed-bath consistency bound holds with equality
-            assert abs(abs(amp.M) ** 2 - amp.N * (amp.N + 1)) < 1e-6 * max(
-                abs(amp.M) ** 2, 1.0
-            )
 
     def test_from_gain_round_trip(self):
         for g0 in (1.0, 2.0, 100.0, 1000.0):
@@ -250,9 +243,9 @@ class TestEliminateAmplifier:
             ),
         )
         for spec in specs:
-            comp = compose_loop_full(spec, amp_dim=8, amp_label="c")
+            comp = compose_loop_full(spec, amp_dim=8)
             assert len(comp.registry) == 2
-            ref = _compose_loop_direct(spec, comp.registry, "c")
+            ref = _compose_loop_direct(spec, comp.registry)
             assert (comp.H - ref.H).max_coeff() <= 1e-12
             assert (comp.L - ref.L).max_coeff() <= 1e-12
             assert abs(comp.theta - ref.theta) <= 1e-12
@@ -281,7 +274,7 @@ class TestEliminateAmplifier:
     def test_amplifier_slh_is_legal_triple(self):
         amp = AmplifierParams(kappa=30.0, xi=12.0)
         reg = ModeRegistry((("c", 8),))
-        g = amplifier_slh(amp, 0.5, 0.2, reg, "c")
+        g = amplifier_slh(amp, 0.5, 0.2, reg)
         assert (g.H - g.H.adjoint()).max_coeff() < 1e-10
 
 
@@ -351,3 +344,10 @@ class TestQuarticOperatorIdentity:
         lhs = n * x2 + x2 * n + a * a * x2 + x2 * (ad * ad)
         rhs = 2.0 * (x2 * x2) + x2
         assert (lhs - rhs).max_coeff() < 1e-12
+
+
+def test_every_package_export_resolves():
+    """``from slhnet import *`` fails on a stale name in ``__all__``."""
+    missing = [name for name in slhnet.__all__ if not hasattr(slhnet, name)]
+    assert missing == []
+    assert len(set(slhnet.__all__)) == len(slhnet.__all__)

@@ -112,7 +112,7 @@ class TestFanoFactor:
 class TestG2:
     def test_coherent_steady_state_is_flat_at_one(self):
         model, reg = driven_cavity(25, eps=0.5, gamma=1.0)
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         rho_ss = steady_state(liou)
         taus = list(np.linspace(0.0, 4.0, 9))
         vals = g2(liou, rho_ss, taus, reg.dims)
@@ -121,14 +121,14 @@ class TestG2:
 
     def test_single_photon_cannot_pair(self):
         model, reg = driven_cavity(10, eps=0.0, gamma=1.0)
-        vals = g2(build_liouvillian(model, reg), DensityMatrix.fock(10, 1),
+        vals = g2(build_liouvillian(model), DensityMatrix.fock(10, 1),
                   [0.0, 0.3], reg.dims)
         assert abs(vals[0]) < 1e-12
 
     def test_undefined_at_zero_mean_photon_number(self):
         model, reg = driven_cavity(10, eps=0.0, gamma=1.0)
         with pytest.raises(PhysicsValidationError, match="zero mean"):
-            g2(build_liouvillian(model, reg), DensityMatrix.vacuum(10),
+            g2(build_liouvillian(model), DensityMatrix.vacuum(10),
                [0.0, 0.5], reg.dims)
 
     def test_thermal_bunching_at_zero_delay(self):
@@ -145,7 +145,7 @@ class TestG2:
             ),
             registry=reg,
         )
-        liou = build_liouvillian(model, reg)
+        liou = build_liouvillian(model)
         rho_ss = steady_state(liou)
         vals = g2(liou, rho_ss, [0.0, 2.0], reg.dims)
         assert abs(vals[0] - 2.0) < 1e-6
@@ -164,7 +164,7 @@ class TestG2:
             DensityMatrix.fock(4, 1).mat, DensityMatrix.vacuum(4).mat
         ))
         with pytest.raises(PhysicsValidationError, match="single-mode"):
-            g2(build_liouvillian(model, reg), rho, [0.0, 1.0], reg.dims)
+            g2(build_liouvillian(model), rho, [0.0, 1.0], reg.dims)
 
 
 class TestGaussianReference:

@@ -76,7 +76,7 @@ class TestFullLoopSimulate:
         rho0 = DensityMatrix.coherent(DIM, 0.6)
         t_grid = [0.0, 1.0, 3.0]
         red = full_loop_simulate(spec, rho0, t_grid, amp_dim=10)
-        liou = build_liouvillian(eliminate_amplifier(spec), REG)
+        liou = build_liouvillian(eliminate_amplifier(spec))
         ref = integrate(liou, rho0, t_grid)
         nmat = to_matrix(A_OP.adjoint() * A_OP, REG)
         for full_st, red_st in zip(red[1:], ref[1:]):
@@ -108,6 +108,25 @@ class TestEliminationError:
         r2 = elimination_error(linear_loop(10.0), **kwargs)
         assert r1.distances == r2.distances
         assert r1.verdict == r2.verdict
+
+    def test_plant_mode_named_like_the_amplifier(self):
+        """The amplifier mode takes a label no plant mode uses, so a plant
+        mode named c gives the distances of the same loop on a mode a."""
+        def distances(label: str) -> tuple[float, ...]:
+            reg = ModeRegistry(((label, 4),))
+            a = OperatorExpr.annihilation(reg, label)
+            spec = FeedbackLoopSpec(
+                plant_H=0.8 * a.adjoint() * a, theta=0.3, L=a,
+                L_f=0.5 * math.sqrt(0.5) * (a + a.adjoint()),
+                amp=AmplifierParams(kappa=10.0, xi=10.0 * math.tanh(0.25)),
+            )
+            return elimination_error(
+                spec, kappa_over_gamma=(10.0, 30.0), amp_dim=5
+            ).distances
+
+        on_c = distances("c")
+        assert all(d > 0 for d in on_c)
+        assert on_c == distances("a")
 
     def test_rows_record_scaled_linewidths(self):
         rep = elimination_error(
