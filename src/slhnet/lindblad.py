@@ -46,10 +46,14 @@ LOG_ROUNDING_BUDGET = math.log(
 # Arnoldi basis size and the bound on the Krylov path's local error estimates,
 # relative to ||x||_2 and per unit of the fraction of t_grid a step covers;
 # a product R v_j whose part orthogonal to the basis is below BREAKDOWN_TOL
-# of its norm, i.e. rounding, ends the basis as invariant under R
-KRYLOV_BASIS = 30
+# of its norm, i.e. rounding, ends the basis as invariant under R.  A larger
+# basis admits longer steps but costs more Gram-Schmidt per vector; at
+# n = 9216, 36 and 40 were the fastest of {30, 36, 40, 45, 50} (ROADMAP item 2)
+KRYLOV_BASIS = 40
 KRYLOV_TOL = 1e-12
 BREAKDOWN_TOL = 1e-12
+# entries of R at most PRUNE_TOL max|R| are rounding residue (``_real_generator``)
+PRUNE_TOL = float(np.finfo(float).eps)
 
 
 class PhysicsValidationError(ValueError):
@@ -186,6 +190,12 @@ def _real_generator(K: np.ndarray, jumps) -> sparse.csr_matrix:
 
     Since (X (x) Y) P = P (Y (x) X), B P = -P B: a row permutation, which
     keeps every row's column indices sorted.
+
+    Entries of at most PRUNE_TOL max|R| are dropped.  They are rounding
+    residue: parts of K that cancel to rounding (1e-17 against O(1)
+    entries), which the Kronecker products spread over d rows each.  Each
+    one is below the rounding unit of R's largest entry, so dropping them
+    changes R by no more than rounding its entries does.
     """
     d = K.shape[0]
     eye = sparse.identity(d, format="csr")
@@ -208,6 +218,11 @@ def _real_generator(K: np.ndarray, jumps) -> sparse.csr_matrix:
     for Cr, Ci in Cs:
         A = A + kron(Cr, Cr) + kron(Ci, Ci)
     R = A - PB
+    del A, PB  # before the pruning's temporaries, which would raise the peak
+    if R.nnz:
+        size = np.abs(R.data)
+        R.data[size <= PRUNE_TOL * size.max()] = 0.0
+        R.eliminate_zeros()
     R.sort_indices()
     return R
 
@@ -370,13 +385,15 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
     and exp(R s) x ~ beta V_k exp(s H_k) e_1, beta = ||x||_2, for every s
     up to the step h.  Saad's estimate of the local error is
     beta |[exp(h Hbar)]_{k+1,1}| with Hbar = [[H_k, 0], [h_{k+1,k} e_k^T, 0]].
-    A step is accepted when the estimate is at most KRYLOV_TOL beta h / T,
-    so the accepted estimates add up to at most KRYLOV_TOL max beta, and
-    beta = ||rho||_F <= tr rho = 1.  A rejected step is retried on the same
-    basis with a shorter h, which repeats only the small expm.  A happy
-    breakdown (h_{k+1,k} ~ 0) makes the basis invariant under R; the step
-    then runs to T.  The first h follows Expokit from the norm bound
-    c = spread + delta, and the next is h min(2, 0.9 (bound / est)^(1/m)).
+    A step passes when the estimate is at most KRYLOV_TOL beta h / T, so the
+    accepted estimates add up to at most KRYLOV_TOL max beta, and
+    beta = ||rho||_F <= tr rho = 1.  Each basis is used for the longest step
+    it admits (``_longest_step``): trials of h on the same basis cost one
+    small expm each and no products with R.  A happy breakdown
+    (h_{k+1,k} ~ 0) makes the basis invariant under R; the step then runs
+    to T.  The first trial h follows Expokit from the norm bound
+    c = spread + delta; each later basis starts from the step its
+    predecessor took.
     """
     T = t_grid[-1]
     n = x0.size
@@ -392,44 +409,35 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
     xs = [x]
     i = 1
     t = 0.0
-    products = steps = rejected = 0
+    work = dict(rhs_evaluations=0, steps=0, rejected=0, expm_evaluations=0)
     error = 0.0
     while t < T:
-        beta = float(np.linalg.norm(x))
+        beta = math.sqrt(x @ x)
         V[0] = x / beta
         Hbar[:] = 0.0
         k, happy = m, False
         for j in range(m):
             w = liou.apply(V[j])
-            products += 1
-            scale = float(np.linalg.norm(w))
+            work["rhs_evaluations"] += 1
+            scale = math.sqrt(w @ w)
             basis = V[:j + 1]
             for _ in range(2):  # classical Gram-Schmidt, reorthogonalized once
                 coef = basis @ w
                 w -= coef @ basis
                 Hbar[:j + 1, j] += coef
-            Hbar[j + 1, j] = hnorm = float(np.linalg.norm(w))
+            Hbar[j + 1, j] = hnorm = math.sqrt(w @ w)
             if hnorm <= BREAKDOWN_TOL * scale:
                 k, happy = j + 1, True
                 break
             V[j + 1] = w / hnorm
         remaining = T - t
-        if happy or h >= remaining:
-            h = remaining
-        while True:
-            F = expm(h * Hbar[:k + 1, :k + 1])
-            est = beta * abs(float(F[k, 0]))
-            bound = KRYLOV_TOL * beta * h / T
-            factor = min(2.0, 0.9 * (bound / est) ** (1.0 / m)) if est > 0 else 2.0
-            if est <= bound:
-                break
-            rejected += 1
-            h *= factor
-            if t + h == t:
-                raise NumericalFailure(f"Krylov step underflow at t={t:g}")
+        h, F, est = _longest_step(
+            Hbar[:k + 1, :k + 1], beta, KRYLOV_TOL * beta / T, t,
+            remaining if happy else min(h, remaining), remaining, work)
         t_new = T if h == remaining else t + h
         while i < len(t_grid) and t_grid[i] < t_new:
             u = expm((t_grid[i] - t) * Hbar[:k, :k])[:, 0]
+            work["expm_evaluations"] += 1
             xs.append(beta * (u @ V[:k]))
             i += 1
         x = beta * (F[:k, 0] @ V[:k])
@@ -437,12 +445,50 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
             xs.append(x)
             i += 1
         t = t_new
-        steps += 1
+        work["steps"] += 1
         error += est
-        h *= factor
-    return xs, dict(method="krylov", rhs_evaluations=products, steps=steps,
-                    rejected=rejected, basis=m, tolerance=KRYLOV_TOL,
+    return xs, dict(method="krylov", **work, basis=m, tolerance=KRYLOV_TOL,
                     error_estimate=error)
+
+
+def _longest_step(Hbar, beta, rate, t, h, remaining, work) -> tuple:
+    """(s, exp(s Hbar), estimate) for the longest step s <= remaining, to
+    within one bisection, whose estimate beta |[exp(s Hbar)]_{k+1,1}| is at
+    most rate s.
+
+    A trial at h that passes doubles until one fails or reaches
+    ``remaining``; one that fails halves until one passes.  The bracket is
+    then bisected once.  Each trial is one expm of the (k+1) x (k+1) Hbar;
+    ``work`` counts them (``expm_evaluations``) and the failed ones
+    (``rejected``).  Halving to nothing at t raises NumericalFailure.
+    """
+    k = Hbar.shape[0] - 1
+
+    def trial(s):
+        F = expm(s * Hbar)
+        est = beta * abs(float(F[k, 0]))
+        work["expm_evaluations"] += 1
+        if est <= rate * s:
+            return s, F, est
+        work["rejected"] += 1
+        return None
+
+    good, bad = trial(h), None
+    while good is None:
+        bad, h = h, 0.5 * h
+        if t + h == t:
+            raise NumericalFailure(f"Krylov step underflow at t={t:g}")
+        good = trial(h)
+    while bad is None and good[0] < remaining:
+        h = min(2.0 * good[0], remaining)
+        longer = trial(h)
+        if longer is None:
+            bad = h
+        else:
+            good = longer
+    if bad is not None:
+        good = trial(0.5 * (good[0] + bad)) or good
+    return good
 
 
 def _chebyshev(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:

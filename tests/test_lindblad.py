@@ -33,6 +33,7 @@ from slhnet.network import (
     DissipationChannel,
     EffectiveModel,
     FeedbackLoopSpec,
+    compose_loop_full,
     eliminate_amplifier,
     high_gain_limit,
 )
@@ -201,6 +202,25 @@ def driven_squeezed_model(dim: int = 6, damping: float = 1.0):
     return reg, model, (N, M, rate_v, rate_s)
 
 
+def stiff_composite() -> Liouvillian:
+    """The full loop of a plant of 4 levels fed back through an amplifier of
+    8, at kappa / gamma = 100 and squeezing r0 = 0.5: a small d = 32 copy of
+    the oracle's stiffest composite, with rounding-level parts in K."""
+    reg, a = single_mode(4)
+    spec = FeedbackLoopSpec(
+        plant_H=0.8 * a.adjoint() * a,
+        theta=0.3,
+        L=a,
+        L_f=0.5 * math.sqrt(0.5) * (a + a.adjoint()),
+        amp=AmplifierParams(kappa=100.0, xi=100.0 * math.tanh(0.25)),
+    )
+    comp = compose_loop_full(spec, 8)
+    return build_liouvillian(EffectiveModel(
+        H_eff=comp.H, channels=(DissipationChannel(op=comp.L),),
+        registry=comp.registry,
+    ))
+
+
 class TestJumpForm:
     def test_superoperator_matches_jump_form(self):
         """S vec(x) = vec(K x + x K^dag + sum C x C^dag), x not Hermitian."""
@@ -334,29 +354,32 @@ class TestJumpForm:
 
     def test_krylov_records_its_steps(self):
         """The manifest fields of the Krylov path, and the range box that
-        chose it."""
-        reg, model, _ = driven_squeezed_model()
+        chose it.  At d = 8 (n = 64) the basis has its full size."""
+        reg, model, _ = driven_squeezed_model(dim=8)
         liou = build_liouvillian(model)
         stats: dict = {}
-        integrate(liou, DensityMatrix.vacuum(6), [0.0, 0.5, 1.0, 4.0],
+        integrate(liou, DensityMatrix.vacuum(8), [0.0, 0.5, 1.0, 4.0],
                   stats=stats)
         spread, delta = liou.range_box()
         assert stats["hamiltonian_spread"] == spread <= delta
         assert stats["dissipative_bound"] == delta
-        assert stats["basis"] == 30
+        assert stats["basis"] == lindblad.KRYLOV_BASIS
         assert stats["steps"] >= 1
         assert 0 < stats["rhs_evaluations"] <= stats["basis"] * (
             stats["steps"] + stats["rejected"])
+        # one passing trial per step, every failed one, the interior points
+        assert stats["expm_evaluations"] >= stats["steps"] + stats["rejected"]
         assert 0.0 <= stats["error_estimate"] <= stats["tolerance"] == 1e-12
 
     def test_rejected_steps_reuse_their_basis(self):
         """An understated norm bound makes the first step far too long: the
         error estimate rejects it, and the shorter retries cost no products
-        with R.  The states still match expm(S t) to 1e-10."""
-        reg, model, _ = driven_squeezed_model()
+        with R.  The states still match expm(S t) to 1e-10.  At d = 8
+        (n = 64) the basis does not become invariant under R."""
+        reg, model, _ = driven_squeezed_model(dim=8)
         liou = build_liouvillian(model)
         S = liou.superoperator().toarray()
-        rho0 = DensityMatrix.coherent(6, 0.6 - 0.3j)
+        rho0 = DensityMatrix.coherent(8, 0.6 - 0.3j)
         t_grid = [0.0, 0.2, 0.9, 2.5, 6.0]
         xs, work = lindblad._krylov(liou, to_coords(rho0.mat), t_grid,
                                     0.0, 1e-3)
@@ -364,8 +387,52 @@ class TestJumpForm:
         assert work["rhs_evaluations"] <= work["basis"] * work["steps"]
         assert work["error_estimate"] <= work["tolerance"]
         for t, x in zip(t_grid, xs):
-            exact = (expm(S * t) @ rho0.mat.ravel()).reshape(6, 6)
-            assert np.max(np.abs(from_coords(x, 6) - exact)) < 1e-10
+            exact = (expm(S * t) @ rho0.mat.ravel()).reshape(8, 8)
+            assert np.max(np.abs(from_coords(x, 8) - exact)) < 1e-10
+
+    def test_stiff_composite_takes_the_longest_steps(self):
+        """On a stiff composite each basis serves the longest step its error
+        estimate admits: 15 steps, where the controller h min(2, 0.9 (bound
+        / est)^(1/m)) took 19 on a basis of 40 and 30 on a basis of 30.  The
+        states match expm_multiply interval by interval to 1e-10."""
+        liou = stiff_composite()
+        rho0 = DensityMatrix.vacuum(32)
+        t_grid = np.linspace(0.0, 3.0, 7)
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == "krylov"
+        assert stats["steps"] <= 16
+        assert stats["expm_evaluations"] >= stats["steps"] + stats["rejected"]
+        assert 0.0 < stats["error_estimate"] <= stats["tolerance"]
+        x = to_coords(rho0.mat)
+        for t0, t1, st in zip(t_grid, t_grid[1:], states[1:]):
+            x = expm_multiply(liou.R * (t1 - t0), x)
+            assert np.max(np.abs(to_coords(st.mat) - x)) < 1e-10
+
+    def test_pruned_generator_matches_unpruned(self, monkeypatch):
+        """R drops the composite's rounding residue, entries of at most
+        eps max|R|, and its products stay within 1e-15 max|R| ||x|| of the
+        unpruned R.  A generator without residue keeps every entry."""
+        pruned = stiff_composite().R
+        reg, a = single_mode(8)
+        n = a.adjoint() * a
+        kerr = EffectiveModel(
+            H_eff=0.8 * n + 0.15 * n * n + 0.25 * (a + a.adjoint()),
+            channels=(DissipationChannel(op=a, rate_prefactor=0.7),),
+            registry=reg,
+        )
+        kept = build_liouvillian(kerr).R.nnz
+        monkeypatch.setattr(lindblad, "PRUNE_TOL", 0.0)
+        full = stiff_composite().R
+        assert build_liouvillian(kerr).R.nnz == kept
+        scale = np.abs(full.data).max()
+        assert pruned.nnz < full.nnz
+        assert np.abs((full - pruned).data).max() <= np.finfo(float).eps * scale
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            x = rng.standard_normal(full.shape[0])
+            assert (np.linalg.norm(pruned @ x - full @ x)
+                    <= 1e-15 * scale * np.linalg.norm(x))
 
     @pytest.mark.parametrize("damping", [1.0, 0.1, None])
     def test_range_box_contains_numerical_range(self, damping):
