@@ -13,16 +13,30 @@ depend on time.  It picks its propagator from a bound on the numerical
 range of R (``Liouvillian.range_box``): a Chebyshev expansion of exp(R dt)
 with a certified degree when the Hamiltonian part dominates, an adaptive
 Arnoldi (Krylov) exponential with an a posteriori error estimate
-otherwise.  Both apply R only through ``Liouvillian.apply``."""
+otherwise.  Both apply R only through ``Liouvillian.apply``.
+
+Both also run on the coordinates that x0 can reach alone.  A coordinate
+that R's sparsity graph does not reach from the support of x0 stays exactly
+0 in exp(R t) x0, since R maps the span of the reachable coordinates into
+itself; R's pattern holds no rounding residue (``_real_generator``) that
+would connect the rest.  So ``integrate`` propagates on the principal
+submatrix of R over the reachable set and scatters the results back.  Its
+numerical range lies inside that of R, so the range box, and with it the
+Chebyshev certificate and the Krylov norm bound, stay valid.  Weak
+symmetries (Buca & Prosen, New J. Phys. 14, 073007 (2012)) show up this
+way without any analysis: a linear loop started in vacuum stays in its
+total-parity block, half of the coordinates, and a Fock state under an
+undriven Kerr loss model keeps to its populations."""
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy import sparse, special
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse import linalg as spla
 
@@ -48,7 +62,7 @@ LOG_ROUNDING_BUDGET = math.log(
 # a product R v_j whose part orthogonal to the basis is below BREAKDOWN_TOL
 # of its norm, i.e. rounding, ends the basis as invariant under R.  A larger
 # basis admits longer steps but costs more Gram-Schmidt per vector; at
-# n = 9216, 36 and 40 were the fastest of {30, 36, 40, 45, 50} (ROADMAP item 2)
+# n = 9216, 36 and 40 were the fastest of {30, 36, 40, 45, 50} (ROADMAP item 3)
 KRYLOV_BASIS = 40
 KRYLOV_TOL = 1e-12
 BREAKDOWN_TOL = 1e-12
@@ -260,6 +274,15 @@ class Liouvillian:
         """L on real coordinates: to_coords(L rho) for x = to_coords(rho)."""
         return self.R @ x
 
+    def restricted(self, keep: np.ndarray) -> "Liouvillian":
+        """This generator on the coordinates ``keep`` (sorted indices) alone:
+        R becomes its principal submatrix R[keep, keep].  Only ``R``, and so
+        ``apply``, changes; the d x d fields stay those of the full model,
+        whose range box bounds the submatrix's numerical range too."""
+        sub = copy.copy(self)
+        sub.R = self.R[keep][:, keep]
+        return sub
+
     def range_box(self) -> tuple[float, float]:
         """(spread(H), delta) with W(R) inside |Re z| <= delta,
         |Im z| <= spread(H) + delta, from d x d quantities only.
@@ -357,23 +380,50 @@ def integrate(
     almost imaginary spectrum it needs fewer products than a Krylov basis.
     Any other generator is propagated by ``_krylov``, whose accepted steps'
     local error estimates add up to at most KRYLOV_TOL (recorded as
-    ``error_estimate``).  If ``stats`` is given, it receives the method, its
-    work counters, the range box and the size of R.
+    ``error_estimate``).
+
+    Either one propagates only the coordinates that R's sparsity graph
+    reaches from the support of x0 (``_reachable``), on the principal
+    submatrix of R over them; every other coordinate of exp(R t) x0 is
+    exactly 0 (module docstring).  When every coordinate is reachable, R
+    itself is used.  If ``stats`` is given, it receives the method, its
+    work counters, the range box, the number of propagated coordinates
+    (``propagated_dim``) and the size of R.
     """
     t_grid = list(t_grid)
     if t_grid[0] != 0 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing and start at 0")
     spread, delta = liou.range_box()
     x0 = to_coords(rho0.mat)
-    if spread > delta:
-        xs, work = _chebyshev(liou, x0, t_grid, spread, delta)
-    else:
-        xs, work = _krylov(liou, x0, t_grid, spread, delta)
+    keep = _reachable(liou.R, x0)
+    sub = liou if keep.size == x0.size else liou.restricted(keep)
+    propagate = _chebyshev if spread > delta else _krylov
+    xs, work = propagate(sub, x0[keep], t_grid, spread, delta)
     if stats is not None:
         stats.update(work, hamiltonian_spread=spread, dissipative_bound=delta,
-                     **liou.generator_stats())
-    return [_validate_evolved(from_coords(x, liou.dim), f"t={t:g}")
-            for x, t in zip(xs, t_grid)]
+                     propagated_dim=int(keep.size), **liou.generator_stats())
+    x = np.zeros_like(x0)  # from_coords copies, so one buffer serves all
+    states = []
+    for x_keep, t in zip(xs, t_grid):
+        x[keep] = x_keep
+        states.append(_validate_evolved(from_coords(x, liou.dim), f"t={t:g}"))
+    return states
+
+
+def _reachable(R: sparse.csr_matrix, x0: np.ndarray) -> np.ndarray:
+    """Sorted indices of the coordinates that R's sparsity graph reaches
+    from the support of x0: the support grown by the rows of R's entries in
+    its columns until nothing is added.  R maps their span into itself.
+    The products run on R's pattern with unit entries, so no cancellation
+    can hide an entry."""
+    pattern = sparse.csr_matrix((np.ones_like(R.data), R.indices, R.indptr),
+                                shape=R.shape)
+    seen = x0 != 0
+    front = seen
+    while front.any():
+        front = (pattern @ front.astype(float) > 0) & ~seen
+        seen |= front
+    return np.flatnonzero(seen)
 
 
 def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
@@ -394,8 +444,18 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
     to T.  The first trial h follows Expokit from the norm bound
     c = spread + delta; each later basis starts from the step its
     predecessor took.
+
+    A grid point inside a step at t + s is read off the basis as
+    beta V_k exp(s H_k) e_1, one expm for the first such point of the step.
+    On a uniform grid, whose spacings agree with T / (len(t_grid) - 1) up to
+    the rounding of its points, each later one follows from the previous by
+    one exp(spacing H_k), computed once per step; on any other grid each
+    point costs its own expm.
     """
     T = t_grid[-1]
+    spacing = T / max(len(t_grid) - 1, 1)
+    uniform = all(abs(b - a - spacing) <= 4.0 * np.finfo(float).eps * T
+                  for a, b in zip(t_grid, t_grid[1:]))
     n = x0.size
     m = min(KRYLOV_BASIS, n)
     c = spread + delta
@@ -435,9 +495,16 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
             Hbar[:k + 1, :k + 1], beta, KRYLOV_TOL * beta / T, t,
             remaining if happy else min(h, remaining), remaining, work)
         t_new = T if h == remaining else t + h
+        u = advance = None
         while i < len(t_grid) and t_grid[i] < t_new:
-            u = expm((t_grid[i] - t) * Hbar[:k, :k])[:, 0]
-            work["expm_evaluations"] += 1
+            if u is not None and uniform:
+                if advance is None:
+                    advance = expm(spacing * Hbar[:k, :k])
+                    work["expm_evaluations"] += 1
+                u = advance @ u
+            else:
+                u = expm((t_grid[i] - t) * Hbar[:k, :k])[:, 0]
+                work["expm_evaluations"] += 1
             xs.append(beta * (u @ V[:k]))
             i += 1
         x = beta * (F[:k, 0] @ V[:k])
@@ -553,6 +620,8 @@ def _degree(ell: float, log_rho: float) -> tuple[int, float]:
     4 y^(n+1) / (n+1)!.  Everything is summed in logarithms, so a large
     rho^ell cannot overflow.
     """
+    from scipy import special  # about 0.1 s; only the Chebyshev path needs it
+
     log_y = math.log(ell / 2.0) + log_rho
     n = int(math.e * math.exp(log_y)) + 60
     k = np.arange(n + 1)
@@ -588,6 +657,8 @@ def _chebyshev_plan(ell: float, log_rho: float) -> tuple[int, np.ndarray, float]
     but seldom the products m K(ell / m): on sampled intervals up to
     ell = 3e4 the cheapest count up to 2 m saved at most 0.2 %.
     """
+    from scipy import special
+
     def stable(m: int) -> bool:
         K = _degree(ell / m, log_rho)[0]
         return K * log_rho + math.log1p(math.sqrt(2 * K)) <= LOG_ROUNDING_BUDGET

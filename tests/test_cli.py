@@ -240,6 +240,8 @@ class TestArtifacts:
         stats = manifest["integrator_stats"]
         assert stats["method"] == "regression+krylov"
         assert stats["rhs_evaluations"] > 0
+        # a driven model's seed a rho_ss ad reaches every coordinate
+        assert stats["propagated_dim"] == 14 ** 2
         assert stats["steady_state"]["method"] == "sparse-shift-invert"
         assert_generator_stats(stats, text)
         assert_generator_stats(stats["steady_state"], text)
@@ -282,6 +284,7 @@ class TestArtifacts:
         stats = m1["integrator_stats"]
         assert stats["method"] == "regression+krylov"
         assert stats["steps"] < 119
+        assert stats["propagated_dim"] == 8 ** 2
         assert m1["content_hash"] == m2["content_hash"]
         assert ((out1 / "g2.csv").read_bytes()
                 == (out2 / "g2.csv").read_bytes())
@@ -559,14 +562,17 @@ class TestModelAssembly:
 class TestImportCost:
     def test_cli_import_skips_ode_and_optimization_modules(self):
         """Every run pays the import of ``slhnet.cli`` before it parses its
-        netlist; ``scipy.integrate`` and ``scipy.optimize`` are not needed by
-        any task and must not be part of it."""
+        netlist; ``scipy.integrate``, ``scipy.optimize`` and
+        ``scipy.sparse.csgraph`` are not needed by any task and must not be
+        part of it, and ``scipy.special`` loads only when the Chebyshev
+        path plans its expansion."""
         src = str(Path(slhnet.lindblad.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import sys, slhnet.cli; print(' '.join(sorted(m for m in "
-                "('scipy.integrate', 'scipy.optimize') if m in sys.modules)))")
+                "('scipy.integrate', 'scipy.optimize', 'scipy.special', "
+                "'scipy.sparse.csgraph') if m in sys.modules)))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == ""

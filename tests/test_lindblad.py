@@ -202,10 +202,11 @@ def driven_squeezed_model(dim: int = 6, damping: float = 1.0):
     return reg, model, (N, M, rate_v, rate_s)
 
 
-def stiff_composite() -> Liouvillian:
+def stiff_composite(amp_dim: int = 8) -> Liouvillian:
     """The full loop of a plant of 4 levels fed back through an amplifier of
-    8, at kappa / gamma = 100 and squeezing r0 = 0.5: a small d = 32 copy of
-    the oracle's stiffest composite, with rounding-level parts in K."""
+    ``amp_dim`` levels, at kappa / gamma = 100 and squeezing r0 = 0.5: a
+    small copy (d = 32 at the default 8) of the oracle's stiffest composite,
+    with rounding-level parts in K.  Registry order: plant, then amplifier."""
     reg, a = single_mode(4)
     spec = FeedbackLoopSpec(
         plant_H=0.8 * a.adjoint() * a,
@@ -214,11 +215,46 @@ def stiff_composite() -> Liouvillian:
         L_f=0.5 * math.sqrt(0.5) * (a + a.adjoint()),
         amp=AmplifierParams(kappa=100.0, xi=100.0 * math.tanh(0.25)),
     )
-    comp = compose_loop_full(spec, 8)
+    comp = compose_loop_full(spec, amp_dim)
     return build_liouvillian(EffectiveModel(
         H_eff=comp.H, channels=(DissipationChannel(op=comp.L),),
         registry=comp.registry,
     ))
+
+
+def lossy_kerr(dim: int, drive: float) -> Liouvillian:
+    """A Kerr oscillator with loss, driven at amplitude ``drive``."""
+    reg, a = single_mode(dim)
+    n = a.adjoint() * a
+    return build_liouvillian(EffectiveModel(
+        H_eff=0.8 * n + 0.15 * n * n + drive * (a + a.adjoint()),
+        channels=(DissipationChannel(op=a, rate_prefactor=0.7),),
+        registry=reg,
+    ))
+
+
+def expm_orders(monkeypatch) -> list:
+    """Records the order of every matrix that ``lindblad`` exponentiates:
+    on the Krylov path, k + 1 for a step trial's Hbar and k for an interior
+    grid point's H_k."""
+    orders = []
+    expm = lindblad.expm
+
+    def counted(a):
+        orders.append(a.shape[0])
+        return expm(a)
+
+    monkeypatch.setattr(lindblad, "expm", counted)
+    return orders
+
+
+def assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states):
+    """The states match expm_multiply on the full R, interval by interval,
+    to 1e-10."""
+    x = to_coords(rho0.mat)
+    for t0, t1, st in zip(t_grid, t_grid[1:], states[1:]):
+        x = expm_multiply(liou.R * (t1 - t0), x)
+        assert np.max(np.abs(to_coords(st.mat) - x)) < 1e-10
 
 
 class TestJumpForm:
@@ -336,21 +372,41 @@ class TestJumpForm:
             exact = (expm(S * t) @ rho0.mat.ravel()).reshape(dim, dim)
             assert np.max(np.abs(st.mat - exact)) < 1e-12
 
-    def test_dense_grid_matches_stepwise_expm_multiply(self):
+    def test_dense_grid_matches_stepwise_expm_multiply(self, monkeypatch):
         """201 grid points, most of them inside a Krylov step and read off
-        its basis, against expm_multiply interval by interval."""
+        its basis, against expm_multiply interval by interval.  The grid is
+        uniform, so its interior points cost at most two expm of the 40 x 40
+        H_k per step: the first point's, and exp(spacing H_k) for the
+        rest."""
         reg, model, _ = driven_squeezed_model(dim=8)
         liou = build_liouvillian(model)
         rho0 = DensityMatrix.coherent(8, 0.6 - 0.3j)
         t_grid = np.linspace(0.0, 5.0, 201)
+        orders = expm_orders(monkeypatch)
         stats: dict = {}
         states = integrate(liou, rho0, t_grid, stats=stats)
         assert stats["method"] == "krylov"
-        assert stats["steps"] < len(t_grid) - 1
-        x = to_coords(rho0.mat)
-        for t0, t1, st in zip(t_grid, t_grid[1:], states[1:]):
-            x = expm_multiply(liou.R * (t1 - t0), x)
-            assert np.max(np.abs(to_coords(st.mat) - x)) < 1e-10
+        assert len(orders) == stats["expm_evaluations"]
+        assert set(orders) == {lindblad.KRYLOV_BASIS, lindblad.KRYLOV_BASIS + 1}
+        assert (orders.count(lindblad.KRYLOV_BASIS) <= 2 * stats["steps"]
+                < len(t_grid) - 2)
+        assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states)
+
+    def test_non_uniform_grid_pays_one_expm_per_interior_point(
+            self, monkeypatch):
+        """On a grid whose spacings differ beyond rounding, every interior
+        point costs its own expm of H_k, and the states still match
+        expm_multiply."""
+        reg, model, _ = driven_squeezed_model(dim=8)
+        liou = build_liouvillian(model)
+        rho0 = DensityMatrix.coherent(8, 0.6 - 0.3j)
+        t_grid = 5.0 * np.linspace(0.0, 1.0, 201) ** 1.2
+        orders = expm_orders(monkeypatch)
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert set(orders) == {lindblad.KRYLOV_BASIS, lindblad.KRYLOV_BASIS + 1}
+        assert orders.count(lindblad.KRYLOV_BASIS) == len(t_grid) - 2
+        assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states)
 
     def test_krylov_records_its_steps(self):
         """The manifest fields of the Krylov path, and the range box that
@@ -404,10 +460,7 @@ class TestJumpForm:
         assert stats["steps"] <= 16
         assert stats["expm_evaluations"] >= stats["steps"] + stats["rejected"]
         assert 0.0 < stats["error_estimate"] <= stats["tolerance"]
-        x = to_coords(rho0.mat)
-        for t0, t1, st in zip(t_grid, t_grid[1:], states[1:]):
-            x = expm_multiply(liou.R * (t1 - t0), x)
-            assert np.max(np.abs(to_coords(st.mat) - x)) < 1e-10
+        assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states)
 
     def test_pruned_generator_matches_unpruned(self, monkeypatch):
         """R drops the composite's rounding residue, entries of at most
@@ -495,6 +548,81 @@ class TestJumpForm:
         S = liou.superoperator().toarray()
         exact = (expm(S * t_end) @ rho0.mat.ravel()).reshape(8, 8)
         assert np.max(np.abs(final.mat - exact)) < 1e-10
+
+
+class TestReachableCoordinates:
+    """``integrate`` propagates only the coordinates that R's sparsity graph
+    reaches from the support of x0, and gives the full propagation's
+    states."""
+
+    def test_linear_loop_keeps_to_its_parity_block(self):
+        """A linear loop (plant 4 x amplifier 6, kappa / gamma = 100) started
+        in vacuum reaches exactly the coordinates whose row and column have
+        the same total parity (-1)^(n_a + n_c): half of them.  Every other
+        coordinate stays exactly 0."""
+        liou = stiff_composite(amp_dim=6)
+        d = liou.dim
+        rho0 = DensityMatrix.vacuum(d)
+        parity = np.add.outer(np.arange(4), np.arange(6)).ravel() % 2
+        off_block = (parity[:, None] != parity[None, :]).ravel()
+        assert np.array_equal(lindblad._reachable(liou.R, to_coords(rho0.mat)),
+                              np.flatnonzero(~off_block))
+        t_grid = np.linspace(0.0, 3.0, 7)
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == "krylov"
+        assert stats["propagated_dim"] == d * d // 2
+        for st in states:
+            assert not to_coords(st.mat)[off_block].any()
+        assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states)
+
+    def test_driven_cavity_reaches_every_coordinate(self):
+        liou = lossy_kerr(8, drive=0.25)
+        rho0 = DensityMatrix.vacuum(8)
+        assert np.array_equal(lindblad._reachable(liou.R, to_coords(rho0.mat)),
+                              np.arange(64))
+        stats: dict = {}
+        integrate(liou, rho0, [0.0, 1.0], stats=stats)
+        assert stats["propagated_dim"] == 64
+
+    def test_fock_state_keeps_to_its_populations(self):
+        """|3><3| under an undriven lossy Kerr oscillator reaches only the
+        populations of |0> to |3>: a U(1) block of 4 coordinates, propagated
+        by the Chebyshev path."""
+        liou = lossy_kerr(8, drive=0.0)
+        rho0 = DensityMatrix.fock(8, 3)
+        assert np.array_equal(lindblad._reachable(liou.R, to_coords(rho0.mat)),
+                              9 * np.arange(4))
+        t_grid = np.linspace(0.0, 2.0, 5)
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == "chebyshev"
+        assert stats["propagated_dim"] == 4
+        assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states)
+
+    @pytest.mark.parametrize("case", ["composite", "fock", "driven"])
+    def test_every_product_goes_through_apply(self, monkeypatch, case):
+        """``Liouvillian.apply`` makes every product, restricted or not, so
+        a counter on it (as the benchmark's tracer keeps) reads
+        ``rhs_evaluations``; each product is on the propagated coordinates."""
+        if case == "composite":
+            liou, rho0 = stiff_composite(amp_dim=6), DensityMatrix.vacuum(24)
+        elif case == "fock":
+            liou, rho0 = lossy_kerr(8, drive=0.0), DensityMatrix.fock(8, 3)
+        else:
+            liou, rho0 = lossy_kerr(8, drive=0.25), DensityMatrix.vacuum(8)
+        sizes = []
+        apply = Liouvillian.apply
+
+        def counted(self, x):
+            sizes.append(x.size)
+            return apply(self, x)
+
+        monkeypatch.setattr(Liouvillian, "apply", counted)
+        stats: dict = {}
+        integrate(liou, rho0, np.linspace(0.0, 1.0, 5), stats=stats)
+        assert len(sizes) == stats["rhs_evaluations"] > 0
+        assert set(sizes) == {stats["propagated_dim"]}
 
 
 class TestRealCoordinates:
