@@ -273,21 +273,22 @@ def _fmt_coeff(c: complex) -> str:
     return f"({format_complex(c)})"
 
 
+def monomial_factors(mono, labels) -> list[str]:
+    """Operator factors of a normal-ordered monomial: ``ad@a^2``, ``a@b``."""
+    factors = []
+    for (p, q), label in zip(mono, labels):
+        for name, k in ((f"ad@{label}", p), (f"a@{label}", q)):
+            if k:
+                factors.append(name + (f"^{k}" if k > 1 else ""))
+    return factors
+
+
 def format_operator(x: OperatorExpr) -> str:
     """Canonical text of an operator over its registry (rad/us units)."""
     if x.is_zero:
         return "0.0"
-    parts = []
-    for mono, coeff in x.iter_terms():
-        factors = [_fmt_coeff(coeff)]
-        for (p, q), label in zip(mono, x.registry.labels):
-            if p == 1:
-                factors.append(f"ad@{label}")
-            elif p > 1:
-                factors.append(f"ad@{label}^{p}")
-            if q == 1:
-                factors.append(f"a@{label}")
-            elif q > 1:
-                factors.append(f"a@{label}^{q}")
-        parts.append(" * ".join(factors))
-    return " + ".join(parts)
+    return " + ".join(
+        " * ".join([_fmt_coeff(coeff),
+                    *monomial_factors(mono, x.registry.labels)])
+        for mono, coeff in x.iter_terms()
+    )

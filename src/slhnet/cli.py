@@ -1,8 +1,15 @@
 """Command-line entry point: arguments in, artifacts out.
 
-``slhnet --netlist FILE --out DIR`` parses the netlist, applies
-``--truncation-override`` and, with ``--sweep key=lo:hi:n``, runs one point
-per value into ``DIR/<key>=<value>`` (one after another, in sweep order).
+``slhnet --netlist FILE --out DIR`` parses the netlist and runs its task.
+Two options set netlist keys through the parser, so a set value meets the
+bounds of a written one:
+
+* ``--truncation-override N`` sets every ``mode.<label>`` to N;
+* ``--sweep key=lo:hi:n`` runs one point per value of any numeric netlist
+  key, in canonical units (rad/us, us, raw), into ``DIR/<key>=<value>``,
+  one after another in sweep order.
+
+Every point is parsed before any runs; a value the parser rejects exits 3.
 The model building and the tasks are ``pipeline.run``; per run the output
 directory receives
 
@@ -15,6 +22,11 @@ directory receives
   coefficient in both rad/us and MHz (frequency nu = omega / 2 pi)
   plus headline results, and a warning line when the truncation check
   failed (the same line also goes to stderr).
+
+The ``g2`` task reports two distinct properties of the steady-state light
+(Zou & Mandel, PRA 41, 475 (1990)): ``sub_poissonian`` is g2(0) < 1, photon
+counts narrower than Poisson; ``antibunched`` is max g2(tau > 0) > g2(0),
+g2 rising from zero delay.  Bunched light (g2(0) > 1) can be antibunched.
 
 Exit codes: 0 success, 2 parse error, 3 physics validation error,
 4 numerical failure.
@@ -32,13 +44,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import OperatorExpr, format_complex, format_operator
+from .algebra import (
+    OperatorExpr,
+    format_complex,
+    format_operator,
+    monomial_factors,
+)
 from .lindblad import NumericalFailure, PhysicsValidationError
 from .netlist import Netlist, NetlistParseError, Task, parse
 from .network import NetworkError
 # build_model is bound here too: callers, and the benchmark's tracer,
 # resolve it as slhnet.cli.build_model
-from .pipeline import BuiltModel, build_model, override_key, retruncate, run
+from .pipeline import BuiltModel, build_model, run
 
 TWO_PI = 2.0 * math.pi
 EXIT_OK = 0
@@ -100,17 +117,10 @@ def _dual_unit_lines(x: OperatorExpr) -> list[str]:
         return ["  (zero)"]
     lines = []
     for mono, coeff in x.iter_terms():
-        ops = []
-        for (p, qq), label in zip(mono, x.registry.labels):
-            if p:
-                ops.append(f"ad@{label}" + (f"^{p}" if p > 1 else ""))
-            if qq:
-                ops.append(f"a@{label}" + (f"^{qq}" if qq > 1 else ""))
-        name = " ".join(ops) if ops else "1"
-        mhz = coeff / TWO_PI
+        name = " ".join(monomial_factors(mono, x.registry.labels)) or "1"
         lines.append(
             f"  {format_complex(coeff):>28} rad/us"
-            f"  = {format_complex(mhz):>28} MHz_over_2pi   {name}"
+            f"  = {format_complex(coeff / TWO_PI):>28} MHz_over_2pi   {name}"
         )
     return lines
 
@@ -242,6 +252,16 @@ def _parse_sweep(arg: str):
         )
 
 
+def _parse_with(text: str, overrides: dict) -> Netlist:
+    """The netlist with ``overrides`` set; a value out of its key's bounds
+    is a physics validation error."""
+    try:
+        return parse(text, overrides)
+    except NetlistParseError as e:
+        given = ", ".join(f"{k} = {v!r}" for k, v in overrides.items())
+        raise PhysicsValidationError(f"{given}: {e}") from None
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="slhnet",
@@ -252,10 +272,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", required=True, help="netlist file path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--sweep", default=None, metavar="key=lo:hi:n",
-                   help="fan out runs over a numeric netlist key "
-                   "(values in canonical units: rad/us, us, raw)")
+                   help="fan out runs over any numeric netlist key (values "
+                   "in canonical units: rad/us, us, raw), each held to the "
+                   "parser's bounds on that key")
     p.add_argument("--truncation-override", type=int, default=None,
-                   help="replace every mode truncation")
+                   help="set every mode.<label> to this truncation")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
 
@@ -275,28 +296,29 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
+        base = {}
         if args.truncation_override is not None:
-            if args.truncation_override < 2:
-                raise PhysicsValidationError(
-                    "--truncation-override must be >= 2"
-                )
-            net = retruncate(net, args.truncation_override)
-
+            base = {f"mode.{l}": args.truncation_override
+                    for l in net.registry.labels}
         outdir = Path(args.out)
         if args.sweep is None:
-            run_netlist(net, outdir, fmt=args.format, source_text=text)
-            return EXIT_OK
-
-        key, lo, hi, n = _parse_sweep(args.sweep)
-        if n < 1:
-            raise PhysicsValidationError("--sweep needs n >= 1")
-        values = list(np.linspace(lo, hi, n))
-        nets = [(v, override_key(net, key, float(v))) for v in values]
-        for v, nv in nets:
-            sub = outdir / f"{key.replace('.', '_')}={v:.9g}"
+            points = [(outdir, base)]
+        else:
+            key, lo, hi, n = _parse_sweep(args.sweep)
+            if n < 1:
+                raise PhysicsValidationError("--sweep needs n >= 1")
+            points = [
+                (outdir / f"{key.replace('.', '_')}={v:.9g}",
+                 {**base, key: float(v)})
+                for v in np.linspace(lo, hi, n)
+            ]
+        nets = [(sub, _parse_with(text, ov) if ov else net)
+                for sub, ov in points]
+        for sub, nv in nets:
             run_netlist(nv, sub, fmt=args.format, source_text=text,
-                        quiet=True)
-            print(f"wrote {sub}")
+                        quiet=args.sweep is not None)
+            if args.sweep is not None:
+                print(f"wrote {sub}")
         return EXIT_OK
     except (PhysicsValidationError, NetworkError) as e:
         print(f"physics validation error: {e}", file=sys.stderr)

@@ -24,16 +24,23 @@ operators ``a@label`` / ``ad@label``.  Numbers may carry a frequency unit
 suffix, ``MHz_over_2pi`` (converted by 2*pi) or ``rad_per_us`` (native);
 the dimensioned scalar keys (``kappa``, ``xi``, ``bath.loss.*``,
 ``t_max``, ``tau_star``) require one.  All stored values are angular
-rad/us (times in us).
+rad/us (times in us), and every scalar must be finite.
+
+``parse(text, overrides)`` sets keys to numbers in those canonical units
+(rad/us, us, raw), replacing the written value or adding the key.  A number
+needs no unit suffix but meets every other check a written value meets; an
+operator-valued key rejects one.  Overriding ``loop.<id>.G0`` drops that
+loop's ``kappa`` and ``xi``: a loop has one operating point.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .algebra import ModeRegistry, OperatorExpr, format_complex, format_operator
 from .network import AmplifierParams, NetworkError
@@ -301,8 +308,6 @@ class _ExprParser:
 def _csqrt(z: complex) -> complex:
     if z.imag == 0.0 and z.real >= 0.0:
         return complex(math.sqrt(z.real), 0.0)
-    import cmath
-
     return cmath.sqrt(z)
 
 
@@ -333,15 +338,22 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.diags: list[Diagnostic] = []
-        self.pairs: list[tuple[str, str, int, int]] = []  # key, val, line, vcol
+        # key, value (text, or an override number), line, value column
+        self.pairs: list[tuple[str, str | float, int, int]] = []
         self.seen_keys: dict[str, int] = {}
 
     def err(self, line: int, col: int, msg: str):
         self.diags.append(Diagnostic(line, col, msg))
 
     # -- pass 1: split into key/value pairs -----------------------------
-    def split_lines(self):
-        for lineno, raw in enumerate(self.text.splitlines(), start=1):
+    def split_lines(self, overrides: Mapping[str, float]):
+        pending = dict(overrides)
+        # an overridden G0 is the loop's one operating point
+        dropped = {f"loop.{k.split('.')[1]}.{f}"
+                   for k in pending if re.fullmatch(r"loop\.[^.]+\.G0", k)
+                   for f in ("kappa", "xi")}
+        lines = self.text.splitlines()
+        for lineno, raw in enumerate(lines, start=1):
             body = _strip_comment(raw)
             if not body.strip():
                 continue
@@ -354,9 +366,11 @@ class _Parser:
                 self.err(lineno, 1 + len(key_part) - len(key_part.lstrip()),
                          f"invalid key {key!r}")
                 continue
+            if key in dropped:
+                continue
             vcol = len(key_part) + 2 + (len(val_part) - len(val_part.lstrip()))
-            value = val_part.strip()
-            if not value:
+            value = pending.pop(key) if key in pending else val_part.strip()
+            if value == "":  # an override of 0 is a value
                 self.err(lineno, vcol, f"missing value for {key!r}")
                 continue
             if key in self.seen_keys:
@@ -366,10 +380,21 @@ class _Parser:
                 continue
             self.seen_keys[key] = lineno
             self.pairs.append((key, value, lineno, vcol))
+        # keys the text does not set follow its last line, as 'key = value'
+        for lineno, (key, value) in enumerate(pending.items(),
+                                              start=len(lines) + 1):
+            if not _KEY_RE.match(key):
+                self.err(lineno, 1, f"invalid key {key!r}")
+                continue
+            self.pairs.append((key, value, lineno, len(key) + 4))
 
     # -- helpers ---------------------------------------------------------
-    def eval_expr(self, value: str, registry, lineno: int, vcol: int,
+    def eval_expr(self, value, registry, lineno: int, vcol: int,
                   want_unit: bool = False) -> Optional[OperatorExpr]:
+        if not isinstance(value, str):
+            self.err(lineno, vcol,
+                     "expected an operator expression, found a number")
+            return None
         try:
             toks = _tokenize(value, vcol)
             p = _ExprParser(toks, registry, vcol + len(value))
@@ -386,12 +411,19 @@ class _Parser:
 
     def eval_scalar(self, value, registry, lineno, vcol, want_unit=False,
                     real=True, nonneg=False) -> Optional[complex]:
-        x = self.eval_expr(value, registry, lineno, vcol, want_unit)
-        if x is None:
-            return None
-        v = _as_scalar(x)
-        if v is None:
-            self.err(lineno, vcol, "expected a scalar value, found operators")
+        if isinstance(value, str):
+            x = self.eval_expr(value, registry, lineno, vcol, want_unit)
+            if x is None:
+                return None
+            v = _as_scalar(x)
+            if v is None:
+                self.err(lineno, vcol,
+                         "expected a scalar value, found operators")
+                return None
+        else:
+            v = complex(value)
+        if not cmath.isfinite(v):
+            self.err(lineno, vcol, "expected a finite value")
             return None
         if real and abs(v.imag) > 1e-12 * max(1.0, abs(v)):
             self.err(lineno, vcol, "expected a real value")
@@ -401,24 +433,31 @@ class _Parser:
             return None
         return v
 
-    def eval_time(self, value: str, lineno: int, vcol: int) -> Optional[float]:
-        m = re.match(r"^([0-9.eE+\-]+)\s*([A-Za-z_]\w*)$", value)
-        if not m:
-            self.err(lineno, vcol,
-                     "expected '<number> <unit>' with unit us or ns "
-                     "(unit suffix mandatory on times)")
+    def eval_time(self, value, lineno: int, vcol: int) -> Optional[float]:
+        if not isinstance(value, str):
+            t = float(value)
+        else:
+            m = re.match(r"^([0-9.eE+\-]+)\s*([A-Za-z_]\w*)$", value)
+            if not m:
+                self.err(lineno, vcol,
+                         "expected '<number> <unit>' with unit us or ns "
+                         "(unit suffix mandatory on times)")
+                return None
+            try:
+                num = float(m.group(1))
+            except ValueError:
+                self.err(lineno, vcol, f"bad number {m.group(1)!r}")
+                return None
+            unit = m.group(2)
+            if unit not in TIME_UNITS:
+                self.err(lineno, vcol + len(m.group(1)),
+                         f"unknown time unit {unit!r} (expected us or ns)")
+                return None
+            t = num * TIME_UNITS[unit]
+        if not math.isfinite(t):
+            self.err(lineno, vcol, "expected a finite value")
             return None
-        try:
-            num = float(m.group(1))
-        except ValueError:
-            self.err(lineno, vcol, f"bad number {m.group(1)!r}")
-            return None
-        unit = m.group(2)
-        if unit not in TIME_UNITS:
-            self.err(lineno, vcol + len(m.group(1)),
-                     f"unknown time unit {unit!r} (expected us or ns)")
-            return None
-        return num * TIME_UNITS[unit]
+        return t
 
     # -- pass 2: assemble ------------------------------------------------
     def build(self) -> Optional[Netlist]:
@@ -431,7 +470,7 @@ class _Parser:
                     self.err(lineno, 1, f"bad mode declaration key {key!r}")
                     continue
                 try:
-                    trunc = int(value)
+                    trunc = _as_int(value)
                 except ValueError:
                     self.err(lineno, vcol, f"truncation must be an integer")
                     continue
@@ -596,7 +635,7 @@ class _Parser:
                     run_fields[fld] = v
         elif fld == "n_points":
             try:
-                n = int(value)
+                n = _as_int(value)
             except ValueError:
                 self.err(lineno, vcol, "n_points must be an integer")
                 return
@@ -617,6 +656,7 @@ class _Parser:
             self.err(lineno, 1, f"unknown run field {fld!r}")
 
     def _parse_state(self, value, registry, lineno, vcol):
+        value = str(value)  # a number override names no state
         if value == "vacuum":
             return StateSpec("vacuum")
         if value.startswith("fock:"):
@@ -651,10 +691,18 @@ def _loop_sort_key(ident: str):
     return (0, int(ident)) if ident.isdigit() else (1, ident)
 
 
-def parse(text: str) -> Netlist:
-    """Parse netlist text; raises NetlistParseError with all diagnostics."""
+def _as_int(value) -> int:
+    """A written integer, or an integral override number."""
+    if not isinstance(value, str) and not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def parse(text: str, overrides: Mapping[str, float] | None = None) -> Netlist:
+    """Parse netlist text, with ``overrides`` set (see the module
+    docstring); raises NetlistParseError with all diagnostics."""
     p = _Parser(text)
-    p.split_lines()
+    p.split_lines(overrides or {})
     net = p.build()
     if net is None or p.diags:
         raise NetlistParseError(p.diags or

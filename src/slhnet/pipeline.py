@@ -5,7 +5,9 @@ builds the model the netlist describes (the eliminated or high-gain loop
 models, or the closed-form quartic oscillator), runs the task and returns
 its table (``columns``, ``rows``), headline ``results``, the built model,
 solver statistics, the truncation check and any warning notes.  It reads
-and writes no files; ``cli`` turns a ``Result`` into artifacts.
+and writes no files; ``cli`` turns a ``Result`` into artifacts.  It does
+not transform netlists: overridden and swept keys go through
+``netlist.parse``, which holds them to its bounds.
 
 Each reported state (a trajectory point or a steady state) is reduced
 once, to one matrix per mode (``_mode_matrices``).  The leak check reads
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ModeRegistry, OperatorExpr
+from .algebra import OperatorExpr
 from .lindblad import (
     LEAK_THRESHOLD,
     DensityMatrix,
@@ -37,7 +39,6 @@ from .lindblad import (
 )
 from .netlist import LoopDecl, Netlist, Task
 from .network import (
-    AmplifierParams,
     DissipationChannel,
     EffectiveModel,
     FeedbackLoopSpec,
@@ -524,6 +525,7 @@ def _run_g2(net: Netlist) -> Result:
         "g2_max": max(vals),
         "g2_max_tau_us": taus[int(np.argmax(vals))],
         "antibunched": max(vals[1:]) > vals[0] if len(vals) > 1 else False,
+        "sub_poissonian": vals[0] < 1.0,
         "steady_mean_n": _mean_n(rho.mat),
         "tau_star_us": tau_star,
     }
@@ -617,83 +619,3 @@ _TASKS = {
 def run(net: Netlist) -> Result:
     """Build the netlist's model when its task needs one and run the task."""
     return _TASKS[net.run.task](net)
-
-
-# ---------------------------------------------------------------------------
-# Netlist transforms
-# ---------------------------------------------------------------------------
-
-def retruncate(net: Netlist, trunc: int) -> Netlist:
-    """Rebuild the netlist with every mode truncated to ``trunc`` levels."""
-    reg = ModeRegistry(tuple((l, trunc) for l in net.registry.labels))
-
-    def move(x: OperatorExpr) -> OperatorExpr:
-        return OperatorExpr(reg, dict(x.terms))
-
-    loops = tuple(
-        dataclasses.replace(lp, L=move(lp.L), L_f=move(lp.L_f))
-        for lp in net.loops
-    )
-    return dataclasses.replace(
-        net, registry=reg, plant_H=move(net.plant_H), loops=loops
-    )
-
-
-def override_key(net: Netlist, key: str, value: float) -> Netlist:
-    """Set one numeric netlist key (canonical units: rad/us, us, raw),
-    within the bounds the netlist parser enforces on that key."""
-    def require(ok: bool, bound: str) -> None:
-        if not ok:
-            raise PhysicsValidationError(f"{key} must {bound}, got {value!r}")
-
-    parts = key.split(".")
-    if len(parts) == 3 and parts[0] == "loop":
-        ident, fld = parts[1], parts[2]
-        loops = []
-        hit = False
-        for lp in net.loops:
-            if lp.ident != ident:
-                loops.append(lp)
-                continue
-            hit = True
-            if fld in ("theta", "phi", "A"):
-                if fld == "phi":
-                    require(-math.pi <= value <= math.pi, "lie in [-pi, pi]")
-                elif fld == "A":
-                    require(value >= 0, "be non-negative")
-                loops.append(dataclasses.replace(lp, **{fld: value}))
-            elif fld == "G0":
-                loops.append(dataclasses.replace(
-                    lp,
-                    amp=AmplifierParams.from_gain(value, lp.amp.kappa),
-                    gain_mode="G0", g0_declared=value,
-                ))
-            else:
-                raise PhysicsValidationError(
-                    f"--sweep does not support loop field {fld!r}"
-                )
-        if not hit:
-            raise PhysicsValidationError(f"no loop {ident!r} to sweep")
-        return dataclasses.replace(net, loops=tuple(loops))
-    if key == "run.t_max":
-        require(value > 0, "be positive")
-        return dataclasses.replace(
-            net, run=dataclasses.replace(net.run, t_max=value)
-        )
-    if key == "drive.A":
-        require(value >= 0, "be non-negative")
-        return dataclasses.replace(net, drive_A=value, has_drive=True)
-    if key == "drive.phi":
-        return dataclasses.replace(net, drive_phi=value, has_drive=True)
-    if len(parts) == 3 and parts[0] == "bath" and parts[1] == "loss":
-        label = parts[2]
-        if label not in net.registry.labels:
-            raise PhysicsValidationError(f"no mode {label!r} to sweep")
-        require(value >= 0, "be non-negative")
-        losses = tuple(
-            (l, value if l == label else r) for l, r in net.losses
-        )
-        if label not in dict(net.losses):
-            losses = losses + ((label, value),)
-        return dataclasses.replace(net, losses=losses)
-    raise PhysicsValidationError(f"--sweep does not support key {key!r}")

@@ -23,8 +23,8 @@ from slhnet.lindblad import (
     build_liouvillian,
     to_coords,
 )
-from slhnet.netlist import parse
-from slhnet.pipeline import build_model, override_key
+from slhnet.netlist import NetlistParseError, parse
+from slhnet.pipeline import build_model
 
 NETLIST_DIR = Path(__file__).resolve().parent.parent / "netlists"
 TWO_PI = 2.0 * math.pi
@@ -73,6 +73,15 @@ run.t_max = 2.0 us
 run.n_points = 5
 """
 
+SQUEEZED_G2_NET = """
+mode.a = 12
+plant.H = 0.25 rad_per_us * (ad@a^2 + a@a^2)
+bath.loss.a = 2.0 rad_per_us
+run.task = g2
+run.t_max = 2.0 us
+run.n_points = 5
+"""
+
 # a free mode a beside a driven lossy mode b: the drive fills b's 4 levels,
 # so the leak check names b, while a keeps its coherent number statistics
 # (<n> = 0.25, Fano = 1)
@@ -109,6 +118,17 @@ bath.loss.a = 2.0 rad_per_us
 run.task = g2
 run.t_max = 3.0 us
 run.n_points = 120
+"""
+
+# a one-loop netlist at a (kappa, xi) operating point
+KX_NET = """
+mode.a = 6
+loop.p.theta = 0.3
+loop.p.L   = a@a
+loop.p.L_f = sqrt(0.5) * (a@a + ad@a)
+loop.p.kappa = 10.0 rad_per_us
+loop.p.xi = 2.0 rad_per_us
+run.task = steady
 """
 
 LOSSY_STEADY_NET = """
@@ -255,6 +275,25 @@ class TestArtifacts:
         first = csv[2].split(",")
         tau, norm = float(first[0]), float(first[1])
         assert norm == pytest.approx(tau / res["tau_star_us"], abs=1e-12)
+
+    @pytest.mark.parametrize("text,overrides,antibunched", [
+        # a two-photon drive on a lossy cavity: squeezed-vacuum bunching,
+        # g2 falling from zero delay
+        (SQUEEZED_G2_NET, {}, False),
+        # the shipped Sec. 5 oscillator: bunched light whose g2 still rises
+        # after zero delay
+        ((NETLIST_DIR / "quartic_sec5.net").read_text().replace(
+            "run.task = nongauss", "run.task = g2"),
+         {"mode.a": 16, "run.n_points": 40}, True),
+    ], ids=["squeezed", "quartic_sec5"])
+    def test_bunched_light_is_not_sub_poissonian(self, text, overrides,
+                                                 antibunched):
+        """sub_poissonian is g2(0) < 1; antibunched is g2 rising from zero
+        delay.  Bunched light is never the first, and may be the second."""
+        res = slhnet.pipeline.run(parse(text, overrides)).results
+        assert res["g2_0"] > 1.5
+        assert res["sub_poissonian"] is False
+        assert res["antibunched"] is antibunched
 
     def test_hamiltonian_dominated_g2_reports_chebyshev(self, tmp_path, capsys):
         out = run_cli(tmp_path, KERR_G2_NET)
@@ -484,30 +523,79 @@ class TestOverridesAndSweeps:
             assert (outdir / name / "evolve.csv").exists()
 
     def test_override_rejects_unknown_key(self):
-        net = parse(EVOLVE_NET)
-        with pytest.raises(PhysicsValidationError, match="does not support"):
-            override_key(net, "plant.H", 1.0)
+        with pytest.raises(NetlistParseError, match="unknown key 'drive.B'"):
+            parse(EVOLVE_NET, {"drive.B": 1.0})
+        with pytest.raises(NetlistParseError,
+                           match="operator expression, found a number"):
+            parse(EVOLVE_NET, {"plant.H": 1.0})
 
     @pytest.mark.parametrize("key,value,bound", [
         ("run.t_max", 0.0, "be positive"),
         ("run.t_max", -0.5, "be positive"),
-        ("run.t_max", math.nan, "be positive"),
-        ("bath.loss.a", -1.0, "be non-negative"),
-        ("bath.loss.b", 1.0, "no mode 'b'"),
+        ("run.t_max", math.nan, "finite value"),
+        ("bath.loss.a", -1.0, "non-negative value"),
+        ("bath.loss.b", 1.0, "unknown mode label 'b'"),
         ("loop.p.phi", 3.2, r"lie in \[-pi, pi\]"),
         ("loop.p.phi", -3.2, r"lie in \[-pi, pi\]"),
-        ("loop.p.A", -0.1, "be non-negative"),
-        ("drive.A", -0.1, "be non-negative"),
+        ("loop.p.A", -0.1, "non-negative value"),
+        ("drive.A", -0.1, "non-negative value"),
     ])
     def test_override_keeps_the_parser_bounds(self, key, value, bound):
         """A swept value is held to the bound the parser puts on its key."""
-        with pytest.raises(PhysicsValidationError, match=bound):
-            override_key(parse(PUMPED_NET), key, value)
+        with pytest.raises(NetlistParseError, match=bound):
+            parse(PUMPED_NET, {key: value})
+
+    @pytest.mark.parametrize("key,value,check", [
+        ("mode.a", 4.5, "truncation must be an integer"),
+        ("mode.a", 1, "truncation must be >= 2"),
+        ("run.n_points", 2.5, "n_points must be an integer"),
+        ("run.initial_state", 0.0, "unknown initial_state"),
+        ("run.task", 1.0, "unknown task"),
+        ("loop.p.L_f", 0.5, "operator expression, found a number"),
+        ("loop.p.G0", 0.5, "G0 must be >= 1"),
+        ("loop.p.theta", math.inf, "finite value"),
+        ("loop.p.kappa", 10.0, "exactly one of"),
+        ("loop.q.G0", 2.0, "loop 'q' missing field"),
+    ])
+    def test_override_meets_the_checks_of_a_written_value(self, key, value,
+                                                           check):
+        with pytest.raises(NetlistParseError, match=check):
+            parse(PUMPED_NET, {key: value})
 
     def test_override_accepts_the_bounds_themselves(self):
-        net = parse(PUMPED_NET)
-        assert override_key(net, "loop.p.phi", math.pi).loops[0].phi == math.pi
-        assert override_key(net, "bath.loss.a", 0.0).losses == (("a", 0.0),)
+        net = parse(PUMPED_NET, {"loop.p.phi": math.pi})
+        assert net.loops[0].phi == math.pi
+        assert parse(PUMPED_NET, {"bath.loss.a": 0.0}).losses == (("a", 0.0),)
+
+    def test_override_replaces_or_adds_the_key(self):
+        """An override parses as the same value written in the netlist."""
+        written = EVOLVE_NET.replace("0.5 us", "0.25 us").replace(
+            "mode.a = 10", "mode.a = 6") + "drive.phi = 0.5\n"
+        assert parse(EVOLVE_NET, {"run.t_max": 0.25, "mode.a": 6,
+                                  "drive.phi": 0.5}) == parse(written)
+
+    def test_g0_override_replaces_the_operating_point(self):
+        """Overriding G0 drops the loop's kappa and xi: the result equals
+        the same loop written with that G0 (and the default kappa)."""
+        written = KX_NET.replace("loop.p.kappa = 10.0 rad_per_us\n", "").replace(
+            "loop.p.xi = 2.0 rad_per_us\n", "loop.p.G0 = 2.0\n")
+        net = parse(KX_NET, {"loop.p.G0": 2.0})
+        assert net == parse(written)
+        assert net.loops[0].gain_mode == "G0"
+        assert net.loops[0].amp.kappa == 1.0
+        assert net.loops[0].amp.G0 == pytest.approx(2.0, rel=1e-12)
+
+    def test_truncation_override_below_the_fock_level_is_exit_three(
+            self, tmp_path, capsys):
+        text = EVOLVE_NET.replace("coherent:0.5", "fock:5")
+        nl = write_net(tmp_path, text)
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o"),
+                   "--truncation-override", "4"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("physics validation error: mode.a = 4: ")
+        assert "fock level 5 outside first-mode truncation 4" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sweep", ["run.t_max=0:1:2",
                                        "bath.loss.a=-1:0:2",
@@ -542,8 +630,8 @@ class TestModelAssembly:
         assert chi["G2"] == pytest.approx(1000.0, rel=1e-9)
 
     def test_quartic_drive_must_sit_on_position_quadrature(self):
-        net = parse((NETLIST_DIR / "quartic_sec5.net").read_text())
-        bad = override_key(net, "drive.phi", 0.0)
+        bad = parse((NETLIST_DIR / "quartic_sec5.net").read_text(),
+                    {"drive.phi": 0.0})
         with pytest.raises(PhysicsValidationError, match="phi = -pi/2"):
             build_model(bad)
 

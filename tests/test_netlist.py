@@ -165,6 +165,13 @@ class TestDiagnostics:
         )
         assert any("phi must lie" in d.message for d in diags)
 
+    @pytest.mark.parametrize("line", ["bath.loss.a = 1e999 rad_per_us",
+                                      "run.t_max = 1e999 us"])
+    def test_non_finite_value_rejected(self, line):
+        diags = diagnostics_of(f"mode.a = 4\n{line}\n")
+        assert [(d.line, d.message) for d in diags] == [
+            (2, "expected a finite value")]
+
     def test_fock_level_outside_truncation(self):
         diags = diagnostics_of("mode.a = 4\nrun.initial_state = fock:7\n")
         assert any("outside first-mode truncation" in d.message
