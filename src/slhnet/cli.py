@@ -6,10 +6,11 @@ bounds of a written one:
 
 * ``--truncation-override N`` sets every ``mode.<label>`` to N;
 * ``--sweep key=lo:hi:n`` runs one point per value of any numeric netlist
-  key, in canonical units (rad/us, us, raw), into ``DIR/<key>=<value>``,
-  one after another in sweep order.
+  key, in canonical units (rad/us, us, raw), into ``DIR/<key>=<value>``
+  (the value to 9 significant digits), one after another in sweep order.
 
-Every point is parsed before any runs; a value the parser rejects exits 3.
+Every point is parsed before any runs; a value the parser rejects, or two
+values that share a directory name, exit 3.
 The model building and the tasks are ``pipeline.run``; per run the output
 directory receives
 
@@ -312,6 +313,14 @@ def main(argv=None) -> int:
                  {**base, key: float(v)})
                 for v in np.linspace(lo, hi, n)
             ]
+            # the values are monotone, so equal names are neighbours
+            for (sa, a), (sb, b) in zip(points, points[1:]):
+                if sa == sb:
+                    raise PhysicsValidationError(
+                        f"--sweep values {a[key]!r} and {b[key]!r} share the "
+                        f"output directory {sa.name} (names keep 9 "
+                        "significant digits)"
+                    )
         nets = [(sub, _parse_with(text, ov) if ov else net)
                 for sub, ov in points]
         for sub, nv in nets:

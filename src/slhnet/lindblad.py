@@ -446,16 +446,14 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
     predecessor took.
 
     A grid point inside a step at t + s is read off the basis as
-    beta V_k exp(s H_k) e_1, one expm for the first such point of the step.
-    On a uniform grid, whose spacings agree with T / (len(t_grid) - 1) up to
-    the rounding of its points, each later one follows from the previous by
-    one exp(spacing H_k), computed once per step; on any other grid each
-    point costs its own expm.
+    beta V_k u with u = exp(s H_k) e_1.  Each such point advances the
+    previous one's u (e_1 at t) by exp(Delta H_k), Delta its distance from
+    that point; the exponential is reused while Delta agrees with the one
+    it was computed for to 4 eps T, so a uniform grid pays at most two
+    expm per step and any other grid one per point.
     """
     T = t_grid[-1]
-    spacing = T / max(len(t_grid) - 1, 1)
-    uniform = all(abs(b - a - spacing) <= 4.0 * np.finfo(float).eps * T
-                  for a, b in zip(t_grid, t_grid[1:]))
+    eps = np.finfo(float).eps
     n = x0.size
     m = min(KRYLOV_BASIS, n)
     c = spread + delta
@@ -495,16 +493,13 @@ def _krylov(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
             Hbar[:k + 1, :k + 1], beta, KRYLOV_TOL * beta / T, t,
             remaining if happy else min(h, remaining), remaining, work)
         t_new = T if h == remaining else t + h
-        u = advance = None
+        u, s, advance = np.eye(k)[:, 0], t, None
         while i < len(t_grid) and t_grid[i] < t_new:
-            if u is not None and uniform:
-                if advance is None:
-                    advance = expm(spacing * Hbar[:k, :k])
-                    work["expm_evaluations"] += 1
-                u = advance @ u
-            else:
-                u = expm((t_grid[i] - t) * Hbar[:k, :k])[:, 0]
+            if advance is None or abs(t_grid[i] - s - dt) > 4.0 * eps * T:
+                dt = t_grid[i] - s
+                advance = expm(dt * Hbar[:k, :k])
                 work["expm_evaluations"] += 1
+            u, s = advance @ u, t_grid[i]
             xs.append(beta * (u @ V[:k]))
             i += 1
         x = beta * (F[:k, 0] @ V[:k])

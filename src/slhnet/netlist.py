@@ -11,7 +11,8 @@ Line-oriented ``dotted.key = value`` syntax, ``#`` comments.  Keys:
   (rates) or ``G0`` (dimensionless gain), optional ``A`` (coherent drive
   amplitude, sqrt-rate) and ``phi`` (drive phase in [-pi, pi]).
 * ``drive.A`` / ``drive.phi`` — direct classical drive entry (a fourth
-  amplitude/phase pair that is not a full loop).
+  amplitude/phase pair that is not a full loop); ``drive.phi`` needs
+  ``drive.A``.
 * ``run.<field>`` — task block: ``task`` (evolve | steady | g2 | fano |
   nongauss | kerr-coeffs | quartic-coeffs | oracle-sweep), ``t_max``
   (time), ``n_points`` (int), ``initial_state`` (``vacuum``, ``fock:n``,
@@ -520,6 +521,7 @@ class _Parser:
                     if v is not None:
                         drive_A = v.real
                 else:
+                    phi_line = lineno
                     v = self.eval_scalar(value, registry, lineno, vcol)
                     if v is not None:
                         drive_phi = v.real
@@ -529,6 +531,9 @@ class _Parser:
             else:
                 self.err(lineno, 1, f"unknown key {'.'.join(parts)!r}")
 
+        if drive_phi is not None and drive_A is None:
+            self.err(phi_line, 1, "drive.phi without drive.A: the direct "
+                     "drive line needs its amplitude")
         loops = []
         for ident in sorted(loop_fields, key=_loop_sort_key):
             loop = self._assemble_loop(ident, loop_fields[ident],

@@ -18,6 +18,7 @@ import numpy as np
 
 from .lindblad import (
     DensityMatrix,
+    NumericalFailure,
     build_liouvillian,
     integrate,
     partial_trace,
@@ -46,8 +47,9 @@ def full_loop_simulate(
 ) -> list[DensityMatrix]:
     """Evolve the plant (+ amplifier in vacuum) under the full composite.
 
-    Returns the plant-reduced states along ``t_grid``; validates trace and
-    hermiticity of every reduced state.
+    Returns the plant-reduced states along ``t_grid``; a reduced state whose
+    trace drifts by more than 1e-9 or whose Hermiticity is lost beyond 1e-10
+    raises NumericalFailure.
     """
     composite = compose_loop_full(spec, amp_dim)
     big = composite.registry
@@ -69,10 +71,11 @@ def full_loop_simulate(
         red = partial_trace(st.mat, dims, plant_axes)
         tr = np.trace(red).real
         if abs(tr - 1.0) > 1e-9:
-            raise RuntimeError(f"reduced state trace drift {tr - 1:.2e}")
+            raise NumericalFailure(f"reduced state trace drift {tr - 1:.2e}")
         herm = np.max(np.abs(red - red.conj().T))
         if herm > 1e-10:
-            raise RuntimeError(f"reduced state hermiticity loss {herm:.2e}")
+            raise NumericalFailure(
+                f"reduced state hermiticity loss {herm:.2e}")
         out.append(DensityMatrix(0.5 * (red + red.conj().T)))
     return out
 

@@ -13,9 +13,18 @@ Each reported state (a trajectory point or a steady state) is reduced
 once, to one matrix per mode (``_mode_matrices``).  The leak check reads
 every mode's matrix; <n>, Fano and delta read the first mode's.
 
-The coefficient tasks read the paper's closed forms off the loop
-templates (``extract_kerr``, ``extract_cross_kerr``, ``extract_quartic``);
-``oracle-sweep`` checks the amplifier elimination against the full loop.
+The paper's loop templates are matched by one rule, ``_sqrt_rate``: a
+coupling is sqrt(rate) times a template operator, sqrt(rate) real and
+non-negative.  ``kerr-coeffs`` reads the self-Kerr or cross-Kerr template
+(Sec. 4) and evaluates the closed forms.  ``extract_quartic`` classifies a
+netlist against the quartic template (Sec. 5): it has the template's
+signature when every loop couples downstream through x^2 and the a^dag a
+and x loops are among them.  ``quartic-coeffs`` needs that signature; with
+``run.high_gain`` a netlist that has it is synthesized as the quartic
+oscillator, and it then must pass every other check of the template.  Any
+other netlist is reduced loop by loop (``eliminate_amplifier``, or
+``high_gain_limit`` with ``run.high_gain``).  ``oracle-sweep`` checks the
+amplifier elimination against the full loop.
 """
 
 from __future__ import annotations
@@ -60,28 +69,17 @@ TWO_PI = 2.0 * math.pi
 # Loop templates
 # ---------------------------------------------------------------------------
 
-def _fit_scalar_multiple(x: OperatorExpr, template: OperatorExpr):
-    """Return c with x == c * template (1e-12 relative), else None."""
-    if template.is_zero:
-        return 0.0 if x.is_zero else None
+def _sqrt_rate(x: OperatorExpr, template: OperatorExpr):
+    """The real, non-negative sqrt(rate) with x == sqrt(rate) * template
+    (1e-12 relative), else None."""
     if x.is_zero:
         return 0.0
-    mono = next(iter(sorted(template.terms)))
-    denom = template.terms[mono]
+    mono = min(template.terms)
     num = x.terms.get(mono)
     if num is None:
         return None
-    c = num / denom
-    resid = (x - c * template).max_coeff()
-    if resid > 1e-12 * max(x.max_coeff(), 1.0):
-        return None
-    return c
-
-
-def _positive_rate_fit(x: OperatorExpr, template: OperatorExpr):
-    """Fit x == sqrt(rate) * template with real non-negative sqrt(rate)."""
-    c = _fit_scalar_multiple(x, template)
-    if c is None:
+    c = num / template.terms[mono]
+    if (x - c * template).max_coeff() > 1e-12 * max(x.max_coeff(), 1.0):
         return None
     if abs(c.imag) > 1e-12 * max(abs(c), 1.0) or c.real < 0:
         return None
@@ -98,70 +96,6 @@ def loop_spec(lp: LoopDecl, plant_H: OperatorExpr) -> FeedbackLoopSpec:
     return FeedbackLoopSpec(
         plant_H=plant_H, theta=lp.theta, L=lp.L, L_f=lp.L_f,
         amp=lp.amp, A=lp.A, phi=lp.phi,
-    )
-
-
-@dataclass(frozen=True)
-class KerrExtraction:
-    omega_a: float
-    gamma_a: float
-    G0: float
-    A_T: float
-
-
-def extract_kerr(net: Netlist) -> KerrExtraction:
-    """Read the self-Kerr loop template: L and L_f proportional to a^dag a."""
-    if len(net.loops) != 1:
-        raise PhysicsValidationError(
-            "kerr-coeffs needs exactly one loop "
-            f"(netlist declares {len(net.loops)})"
-        )
-    if len(net.registry) != 1:
-        raise PhysicsValidationError("kerr-coeffs needs a single plant mode")
-    lp = net.loops[0]
-    label = net.registry.labels[0]
-    n_op = OperatorExpr.number(net.registry, label)
-    cl = _positive_rate_fit(lp.L, n_op)
-    cf = _positive_rate_fit(lp.L_f, n_op)
-    if cl is None or cf is None:
-        raise PhysicsValidationError(
-            f"loop {lp.ident!r} (line {lp.line}): kerr-coeffs expects "
-            "L and L_f proportional to ad@m * a@m with real coefficients"
-        )
-    wa = net.plant_H.coefficient(((1, 1),))
-    return KerrExtraction(
-        omega_a=wa.real, gamma_a=cl * cf, G0=_loop_G0(lp), A_T=lp.A
-    )
-
-
-@dataclass(frozen=True)
-class CrossKerrExtraction:
-    gamma_a: float
-    gamma_b: float
-    G0: float
-
-
-def extract_cross_kerr(net: Netlist) -> CrossKerrExtraction:
-    """Two-mode template: L on one mode's number operator, L_f on the
-    other's; the loop then imprints a cross-Kerr n_a n_b interaction."""
-    if len(net.loops) != 1 or len(net.registry) != 2:
-        raise PhysicsValidationError(
-            "cross-Kerr extraction needs one loop and exactly two modes"
-        )
-    lp = net.loops[0]
-    n_ops = [
-        OperatorExpr.number(net.registry, l) for l in net.registry.labels
-    ]
-    for i, j in ((0, 1), (1, 0)):
-        cl = _positive_rate_fit(lp.L, n_ops[i])
-        cf = _positive_rate_fit(lp.L_f, n_ops[j])
-        if cl is not None and cf is not None:
-            return CrossKerrExtraction(
-                gamma_a=cl * cl, gamma_b=cf * cf, G0=_loop_G0(lp)
-            )
-    raise PhysicsValidationError(
-        f"loop {lp.ident!r} (line {lp.line}): cross-Kerr expects L and L_f "
-        "proportional to the number operators of the two distinct modes"
     )
 
 
@@ -186,59 +120,63 @@ class QuarticExtraction:
         )
 
 
-def extract_quartic(net: Netlist) -> QuarticExtraction:
-    """Classify loops of the engineered quartic oscillator.
+def extract_quartic(net: Netlist) -> QuarticExtraction | str:
+    """Classify the loops against the engineered quartic oscillator (Sec. 5).
 
-    Every loop couples downstream through x^2; the upstream coupling
-    identifies the loop: a^dag a (quartic), a^dag^2 (quadratic partner,
-    optional), x (cubic).  The direct drive entry supplies the linear term.
+    Every loop couples downstream through x^2 at one rate gamma; the
+    upstream coupling identifies the loop: a^dag a (quartic), a^dag^2
+    (quadratic partner, optional), x (cubic).  The direct drive entry
+    supplies the linear term.
+
+    The template's signature is one mode, every L proportional to x^2 and
+    the a^dag a and x loops among them.  A netlist without it returns the
+    first failed check's message, in loop order; one with it returns the
+    extraction, or raises PhysicsValidationError with the first failed
+    check among the others (a downstream rate that differs, a duplicate or
+    an unknown upstream coupling).
     """
     if len(net.registry) != 1:
-        raise PhysicsValidationError("quartic synthesis needs a single mode")
+        return "quartic synthesis needs a single mode"
     label = net.registry.labels[0]
     reg = net.registry
     x_op = OperatorExpr.position(reg, label)
     x2 = x_op * x_op
-    n_op = OperatorExpr.number(reg, label)
-    ad2 = OperatorExpr.creation(reg, label)
-    ad2 = ad2 * ad2
+    ad = OperatorExpr.creation(reg, label)
+    upstream = (("n", OperatorExpr.number(reg, label)), ("ad2", ad * ad),
+                ("x", x_op))
 
-    gamma = None
+    gamma = error = None
+    signature = True
     found: dict[str, tuple[LoopDecl, float]] = {}
     for lp in net.loops:
-        cl = _positive_rate_fit(lp.L, x2)
+        where = f"loop {lp.ident!r} (line {lp.line}): "
+        cl = _sqrt_rate(lp.L, x2)
         if cl is None:
-            raise PhysicsValidationError(
-                f"loop {lp.ident!r} (line {lp.line}): quartic synthesis "
-                "expects every downstream coupling proportional to x^2"
-            )
+            signature = False
+            error = error or (where + "quartic synthesis expects every "
+                              "downstream coupling proportional to x^2")
+            continue
         g = cl * cl
         if gamma is None:
             gamma = g
         elif abs(g - gamma) > 1e-9 * max(gamma, 1.0):
-            raise PhysicsValidationError(
-                f"loop {lp.ident!r} (line {lp.line}): downstream rate "
-                f"{g:.6g} differs from the first loop's {gamma:.6g}"
-            )
-        for name, tmpl in (("n", n_op), ("ad2", ad2), ("x", x_op)):
-            cf = _positive_rate_fit(lp.L_f, tmpl)
+            error = error or (where + f"downstream rate {g:.6g} differs "
+                              f"from the first loop's {gamma:.6g}")
+        for name, tmpl in upstream:
+            cf = _sqrt_rate(lp.L_f, tmpl)
             if cf is not None and cf > 0:
                 if name in found:
-                    raise PhysicsValidationError(
-                        f"loop {lp.ident!r} (line {lp.line}): duplicate "
-                        f"upstream coupling type {name!r}"
-                    )
-                found[name] = (lp, cf * cf)
+                    error = error or (where + "duplicate upstream coupling "
+                                      f"type {name!r}")
+                found.setdefault(name, (lp, cf * cf))
                 break
         else:
-            raise PhysicsValidationError(
-                f"loop {lp.ident!r} (line {lp.line}): upstream coupling "
-                "must be proportional to ad*a, ad^2, or x"
-            )
-    if gamma is None or "n" not in found or "x" not in found:
-        raise PhysicsValidationError(
-            "quartic synthesis needs at least the ad*a and x loops"
-        )
+            error = error or (where + "upstream coupling must be "
+                              "proportional to ad*a, ad^2, or x")
+    if not (signature and "n" in found and "x" in found):
+        return error or "quartic synthesis needs at least the ad*a and x loops"
+    if error:
+        raise PhysicsValidationError(error)
     lp1, gamma1 = found["n"]
     lp3, gamma3 = found["x"]
     loop2_declared = None
@@ -335,13 +273,13 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
 
 
 def build_model(net: Netlist) -> BuiltModel:
-    """Assemble the simulation model a netlist describes."""
+    """Assemble the simulation model a netlist describes: with
+    ``run.high_gain``, the quartic oscillator when the loops have the Sec. 5
+    template's signature (``extract_quartic``); else the loops reduced one
+    by one."""
     if net.loops and net.run.high_gain:
-        try:
-            q = extract_quartic(net)
-        except PhysicsValidationError:
-            q = None
-        if q is not None:
+        q = extract_quartic(net)
+        if not isinstance(q, str):
             return synthesize_quartic(net, q)
     if net.has_drive and net.drive_A != 0:
         raise PhysicsValidationError(
@@ -536,37 +474,73 @@ _COEFF_COLUMNS = ("quantity", "rad_per_us", "MHz_over_2pi")
 
 
 def _run_kerr_coeffs(net: Netlist) -> Result:
-    if len(net.registry) == 2:
-        ck = extract_cross_kerr(net)
-        chi = cross_kerr_coefficient(ck.G0, ck.gamma_a, ck.gamma_b)
+    """The Sec. 4 templates: one mode with L and L_f proportional to its
+    number operator (self-Kerr), or two modes with L on one mode's number
+    operator and L_f on the other's (cross-Kerr n_a n_b)."""
+    lp = net.loops[0] if len(net.loops) == 1 else None
+    n_ops = [OperatorExpr.number(net.registry, l) for l in net.registry.labels]
+    if len(n_ops) == 2:
+        if lp is None:
+            raise PhysicsValidationError(
+                "cross-Kerr extraction needs one loop and exactly two modes"
+            )
+        for i, j in ((0, 1), (1, 0)):
+            cl, cf = _sqrt_rate(lp.L, n_ops[i]), _sqrt_rate(lp.L_f, n_ops[j])
+            if cl is not None and cf is not None:
+                break
+        else:
+            raise PhysicsValidationError(
+                f"loop {lp.ident!r} (line {lp.line}): cross-Kerr expects L "
+                "and L_f proportional to the number operators of the two "
+                "distinct modes"
+            )
+        G0 = _loop_G0(lp)
+        chi = cross_kerr_coefficient(G0, cl * cl, cf * cf)
         return Result(_COEFF_COLUMNS, [_freq_row("chi_cross", chi)], {
             "chi_cross_rad_us": chi,
             "chi_cross_MHz": chi / TWO_PI,
-            "G0": ck.G0,
-            "gamma_a_rad_us": ck.gamma_a,
-            "gamma_b_rad_us": ck.gamma_b,
+            "G0": G0,
+            "gamma_a_rad_us": cl * cl,
+            "gamma_b_rad_us": cf * cf,
         })
-    k = extract_kerr(net)
-    delta, chi = kerr_coefficients(k.G0, k.gamma_a, k.A_T)
+    if lp is None:
+        raise PhysicsValidationError(
+            "kerr-coeffs needs exactly one loop "
+            f"(netlist declares {len(net.loops)})"
+        )
+    if len(n_ops) != 1:
+        raise PhysicsValidationError("kerr-coeffs needs a single plant mode")
+    cl, cf = _sqrt_rate(lp.L, n_ops[0]), _sqrt_rate(lp.L_f, n_ops[0])
+    if cl is None or cf is None:
+        raise PhysicsValidationError(
+            f"loop {lp.ident!r} (line {lp.line}): kerr-coeffs expects "
+            "L and L_f proportional to ad@m * a@m with real coefficients"
+        )
+    G0, gamma_a = _loop_G0(lp), cl * cf
+    omega_a = net.plant_H.coefficient(((1, 1),)).real
+    delta, chi = kerr_coefficients(G0, gamma_a, lp.A)
     rows = [
         _freq_row("chi", chi),
         _freq_row("delta", delta),
-        _freq_row("omega_a", k.omega_a),
-        _freq_row("omega_a_minus_delta", k.omega_a - delta),
+        _freq_row("omega_a", omega_a),
+        _freq_row("omega_a_minus_delta", omega_a - delta),
     ]
     return Result(_COEFF_COLUMNS, rows, {
         "chi_rad_us": chi,
         "delta_rad_us": delta,
-        "omega_a_minus_delta_rad_us": k.omega_a - delta,
+        "omega_a_minus_delta_rad_us": omega_a - delta,
         "chi_MHz": chi / TWO_PI,
-        "omega_a_minus_delta_MHz": (k.omega_a - delta) / TWO_PI,
-        "G0": k.G0,
-        "gamma_a_rad_us": k.gamma_a,
+        "omega_a_minus_delta_MHz": (omega_a - delta) / TWO_PI,
+        "G0": G0,
+        "gamma_a_rad_us": gamma_a,
     })
 
 
 def _run_quartic_coeffs(net: Netlist) -> Result:
-    qc = extract_quartic(net).coefficients()
+    q = extract_quartic(net)
+    if isinstance(q, str):
+        raise PhysicsValidationError(q)
+    qc = q.coefficients()
     chis = (qc.chi1, qc.chi2, qc.chi3, qc.chi4)
     rows = [_freq_row(f"chi{k}", c) for k, c in enumerate(chis, start=1)]
     return Result(_COEFF_COLUMNS, rows, {

@@ -522,6 +522,23 @@ class TestOverridesAndSweeps:
             ]
             assert (outdir / name / "evolve.csv").exists()
 
+    def test_sweep_values_sharing_a_directory_are_exit_three(self, tmp_path,
+                                                             capsys):
+        """Directory names keep 9 significant digits: values that agree to
+        them would overwrite each other, so none runs."""
+        outdir = tmp_path / "sweep"
+        rc = main(["--netlist", str(NETLIST_DIR / "kerr_sec4.net"),
+                   "--out", str(outdir),
+                   "--sweep", "loop.k.theta=1:1.0000000001:3"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "physics validation error: --sweep values 1.0 and 1.00000000005 "
+            "share the output directory loop_k_theta=1 (names keep 9 "
+            "significant digits)\n")
+        assert not outdir.exists()
+
     def test_override_rejects_unknown_key(self):
         with pytest.raises(NetlistParseError, match="unknown key 'drive.B'"):
             parse(EVOLVE_NET, {"drive.B": 1.0})
@@ -570,9 +587,10 @@ class TestOverridesAndSweeps:
     def test_override_replaces_or_adds_the_key(self):
         """An override parses as the same value written in the netlist."""
         written = EVOLVE_NET.replace("0.5 us", "0.25 us").replace(
-            "mode.a = 10", "mode.a = 6") + "drive.phi = 0.5\n"
+            "mode.a = 10", "mode.a = 6") + "drive.A = 0.2\ndrive.phi = 0.5\n"
         assert parse(EVOLVE_NET, {"run.t_max": 0.25, "mode.a": 6,
-                                  "drive.phi": 0.5}) == parse(written)
+                                  "drive.A": 0.2, "drive.phi": 0.5}
+                     ) == parse(written)
 
     def test_g0_override_replaces_the_operating_point(self):
         """Overriding G0 drops the loop's kappa and xi: the result equals

@@ -172,6 +172,16 @@ class TestDiagnostics:
         assert [(d.line, d.message) for d in diags] == [
             (2, "expected a finite value")]
 
+    def test_drive_phase_without_amplitude(self):
+        """A direct drive phase alone would be dropped: it needs drive.A."""
+        diags = diagnostics_of("mode.a = 4\nplant.H = 1.0 rad_per_us * ad@a * "
+                               "a@a\ndrive.phi = 0.3\n")
+        assert len(diags) == 1
+        assert diags[0].line == 3
+        assert "drive.phi without drive.A" in diags[0].message
+        net = parse("mode.a = 4\ndrive.A = 0.5\ndrive.phi = 0.3\n")
+        assert (net.has_drive, net.drive_A, net.drive_phi) == (True, 0.5, 0.3)
+
     def test_fock_level_outside_truncation(self):
         diags = diagnostics_of("mode.a = 4\nrun.initial_state = fock:7\n")
         assert any("outside first-mode truncation" in d.message

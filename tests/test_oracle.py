@@ -8,9 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import slhnet.oracle
 from slhnet.algebra import ModeRegistry, OperatorExpr
+from slhnet.cli import main
 from slhnet.lindblad import (
     DensityMatrix,
+    NumericalFailure,
     build_liouvillian,
     integrate,
     to_matrix,
@@ -83,6 +86,56 @@ class TestFullLoopSimulate:
             n_full = np.trace(nmat @ full_st.mat).real
             n_red = np.trace(nmat @ red_st.mat).real
             assert abs(n_full - n_red) <= 0.05 * max(n_red, 1e-12)
+
+
+def distort_reduced_states(monkeypatch, distort) -> None:
+    """Apply ``distort`` to every plant-reduced state of the oracle."""
+    exact = slhnet.oracle.partial_trace
+    monkeypatch.setattr(slhnet.oracle, "partial_trace",
+                        lambda *args: distort(exact(*args)))
+
+
+def skew(red: np.ndarray, size: float) -> np.ndarray:
+    """``red`` plus ``size`` above the diagonal: Hermiticity lost by size."""
+    return red + size * np.triu(np.ones_like(red), 1)
+
+
+class TestReducedStateChecks:
+    """A reduced composite state that drifts is a numerical failure."""
+
+    @pytest.mark.parametrize("distort,message", [
+        (lambda red: (1.0 + 2e-9) * red, "reduced state trace drift 2.00e-09"),
+        (lambda red: skew(red, 2e-10),
+         "reduced state hermiticity loss 2.00e-10"),
+    ])
+    def test_drift_beyond_threshold_raises(self, monkeypatch, distort,
+                                           message):
+        distort_reduced_states(monkeypatch, distort)
+        with pytest.raises(NumericalFailure, match=message):
+            full_loop_simulate(linear_loop(10.0), DensityMatrix.vacuum(DIM),
+                               [0.0, 0.5], amp_dim=4)
+
+    def test_drift_within_threshold_passes(self, monkeypatch):
+        distort_reduced_states(
+            monkeypatch, lambda red: skew((1.0 + 5e-10) * red, 5e-11))
+        states = full_loop_simulate(linear_loop(10.0),
+                                    DensityMatrix.vacuum(DIM), [0.0, 0.5],
+                                    amp_dim=4)
+        assert len(states) == 2
+
+    def test_oracle_sweep_drift_is_exit_four(self, tmp_path, capsys,
+                                             monkeypatch):
+        distort_reduced_states(monkeypatch, lambda red: 1.01 * red)
+        nl = tmp_path / "in.net"
+        nl.write_text(
+            "mode.a = 3\nloop.fb.theta = 0.3\n"
+            "loop.fb.L = sqrt(1.0 rad_per_us) * a@a\n"
+            "loop.fb.L_f = 0.5 * sqrt(0.5 rad_per_us) * (a@a + ad@a)\n"
+            "loop.fb.G0 = 2.0\nrun.task = oracle-sweep\n")
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert ("numerical failure: reduced state trace drift 1.00e-02"
+                in capsys.readouterr().err)
 
 
 class TestEliminationError:
