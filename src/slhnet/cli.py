@@ -17,8 +17,11 @@ directory receives
 * ``<task>.csv`` (or ``.json`` with ``--format json``): the task's data
   table, first column ``t_us``/``tau_us`` for time series, with a
   ``# manifest_hash=...`` header line tying it to the manifest;
-* ``manifest.json``: resolved parameters, truncation-leak report,
-  integrator statistics, results, content hash and timestamp;
+* ``manifest.json``: under ``resolved``, the netlist the run used
+  (overrides and sweep values set) as canonical netlist text
+  (``netlist.format_netlist``), which ``netlist.parse`` reads back to the
+  same ``Netlist``; then the truncation-leak report, integrator
+  statistics, results, content hash and timestamp;
 * ``summary.txt``: the effective model pretty-printed with every
   coefficient in both rad/us and MHz (frequency nu = omega / 2 pi)
   plus headline results, and a warning line when the truncation check
@@ -52,7 +55,7 @@ from .algebra import (
     monomial_factors,
 )
 from .lindblad import NumericalFailure, PhysicsValidationError
-from .netlist import Netlist, NetlistParseError, Task, parse
+from .netlist import Netlist, NetlistParseError, Task, format_netlist, parse
 from .network import NetworkError
 # build_model is bound here too: callers, and the benchmark's tracer,
 # resolve it as slhnet.cli.build_model
@@ -144,18 +147,19 @@ def _model_summary(built: BuiltModel) -> str:
 def run_netlist(net: Netlist, outdir: Path, fmt: str = "csv",
                 source_text: str | None = None,
                 quiet: bool = False) -> dict:
-    """Execute a parsed netlist's run block; returns the manifest."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Execute a parsed netlist's run block; returns the manifest.  A run
+    that raises writes nothing, ``outdir`` included."""
     task = net.run.task
     manifest: dict = {
         "task": task.value,
         "netlist_sha256": hashlib.sha256(
             source_text.encode()
         ).hexdigest() if source_text else None,
-        "resolved": _resolved_params(net),
+        "resolved": format_netlist(net),
     }
 
     res = run(net)
+    outdir.mkdir(parents=True, exist_ok=True)
     if res.built is not None:
         manifest["model_kind"] = res.built.kind
         manifest["model_info"] = res.built.info
@@ -196,46 +200,6 @@ def run_netlist(net: Netlist, outdir: Path, fmt: str = "csv",
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     )
     return manifest
-
-
-def _resolved_params(net: Netlist) -> dict:
-    return {
-        "modes": [
-            {"label": l, "truncation": d}
-            for l, d in zip(net.registry.labels, net.registry.dims)
-        ],
-        "plant_H": format_operator(net.plant_H),
-        "losses": [
-            {"mode": l, "rate_rad_us": r} for l, r in net.losses
-        ],
-        "loops": [
-            {
-                "ident": lp.ident,
-                "theta": lp.theta,
-                "L": format_operator(lp.L),
-                "L_f": format_operator(lp.L_f),
-                "kappa_rad_us": lp.amp.kappa,
-                "xi_rad_us": lp.amp.xi,
-                "r0": lp.amp.r0,
-                "G0": lp.amp.G0,
-                "A": lp.A,
-                "phi": lp.phi,
-            }
-            for lp in net.loops
-        ],
-        "drive": (
-            {"A": net.drive_A, "phi": net.drive_phi}
-            if net.has_drive else None
-        ),
-        "run": {
-            "task": net.run.task.value,
-            "t_max_us": net.run.t_max,
-            "n_points": net.run.n_points,
-            "initial_state": str(net.run.initial_state),
-            "high_gain": net.run.high_gain,
-            "tau_star_us": net.run.tau_star,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,15 @@ Line-oriented ``dotted.key = value`` syntax, ``#`` comments.  Keys:
   ``coherent:z``), flag ``high_gain``, and optional ``tau_star`` (time
   normalization for g2 output).  Any other run field is a parse error.
 
-Expression grammar (shared by scalar and operator values): ``+ - * ^``,
-``sqrt()``, parentheses, real/imaginary literals (``2.5``, ``0.5j``), mode
-operators ``a@label`` / ``ad@label``.  Numbers may carry a frequency unit
-suffix, ``MHz_over_2pi`` (converted by 2*pi) or ``rad_per_us`` (native);
-the dimensioned scalar keys (``kappa``, ``xi``, ``bath.loss.*``,
-``t_max``, ``tau_star``) require one.  All stored values are angular
-rad/us (times in us), and every scalar must be finite.
+Expression grammar (shared by every scalar, time and operator value):
+``+ - * ^``, ``sqrt()``, ``pi``, parentheses, real/imaginary literals
+(``2.5``, ``0.5j``), mode operators ``a@label`` / ``ad@label``.  Numbers
+may carry a unit suffix: a frequency ``MHz_over_2pi`` (converted by 2*pi)
+or ``rad_per_us`` (native), a time ``us`` (native) or ``ns``.  The
+frequency keys ``kappa``, ``xi`` and ``bath.loss.*`` require a frequency
+suffix; the times ``run.t_max`` and ``run.tau_star`` require a time suffix
+(``60 ns``, ``2 * 30 ns``) and accept no other.  All stored values are
+angular rad/us (times in us), and every scalar must be finite.
 
 ``parse(text, overrides)`` sets keys to numbers in those canonical units
 (rad/us, us, raw), replacing the written value or adding the key.  A number
@@ -181,16 +183,18 @@ def _tokenize(text: str, col0: int):
 class _ExprParser:
     """Evaluates an expression directly to an OperatorExpr over a registry.
 
-    Scalars are represented as identity multiples; ``unit_seen`` records
-    whether any literal carried a frequency-unit suffix (used to enforce
-    the mandatory-suffix rule on dimensioned keys).
+    Scalars are represented as identity multiples.  Literals may carry a
+    suffix from ``units`` (name -> factor); ``unit_seen`` records whether
+    any did (used to enforce the mandatory-suffix rule on dimensioned keys).
     """
 
-    def __init__(self, toks, registry: ModeRegistry, end_col: int):
+    def __init__(self, toks, registry: ModeRegistry, end_col: int,
+                 units: Mapping[str, float]):
         self.toks = toks
         self.i = 0
         self.reg = registry
         self.end_col = end_col
+        self.units = units
         self.unit_seen = False
 
     def peek(self) -> Optional[_Tok]:
@@ -269,15 +273,15 @@ class _ExprParser:
             else:
                 val = complex(float(t.text), 0.0)
             nxt = self.peek()
-            if nxt and nxt.kind == "name" and nxt.text in FREQ_UNITS:
+            if nxt and nxt.kind == "name" and nxt.text in self.units:
                 self.next()
-                val *= FREQ_UNITS[nxt.text]
+                val *= self.units[nxt.text]
                 self.unit_seen = True
             elif nxt and nxt.kind == "name":
                 raise _ExprError(
                     nxt.col,
                     f"unknown unit suffix {nxt.text!r} "
-                    f"(expected one of {sorted(FREQ_UNITS)})",
+                    f"(expected one of {sorted(self.units)})",
                 )
             return OperatorExpr.identity(self.reg, val)
         if t.kind == "op":
@@ -391,14 +395,16 @@ class _Parser:
 
     # -- helpers ---------------------------------------------------------
     def eval_expr(self, value, registry, lineno: int, vcol: int,
-                  want_unit: bool = False) -> Optional[OperatorExpr]:
+                  want_unit: bool = False,
+                  units: Mapping[str, float] = FREQ_UNITS
+                  ) -> Optional[OperatorExpr]:
         if not isinstance(value, str):
             self.err(lineno, vcol,
                      "expected an operator expression, found a number")
             return None
         try:
             toks = _tokenize(value, vcol)
-            p = _ExprParser(toks, registry, vcol + len(value))
+            p = _ExprParser(toks, registry, vcol + len(value), units)
             out = p.parse()
         except _ExprError as e:
             self.err(lineno, e.col, e.message)
@@ -406,14 +412,17 @@ class _Parser:
         if want_unit and not p.unit_seen:
             self.err(lineno, vcol,
                      "unit suffix missing on dimensioned quantity "
-                     "(use MHz_over_2pi or rad_per_us)")
+                     f"(use {' or '.join(units)})")
             return None
         return out
 
     def eval_scalar(self, value, registry, lineno, vcol, want_unit=False,
-                    real=True, nonneg=False) -> Optional[complex]:
+                    real=True, nonneg=False,
+                    units: Mapping[str, float] = FREQ_UNITS
+                    ) -> Optional[complex]:
         if isinstance(value, str):
-            x = self.eval_expr(value, registry, lineno, vcol, want_unit)
+            x = self.eval_expr(value, registry, lineno, vcol, want_unit,
+                               units)
             if x is None:
                 return None
             v = _as_scalar(x)
@@ -433,32 +442,6 @@ class _Parser:
             self.err(lineno, vcol, "expected a non-negative value")
             return None
         return v
-
-    def eval_time(self, value, lineno: int, vcol: int) -> Optional[float]:
-        if not isinstance(value, str):
-            t = float(value)
-        else:
-            m = re.match(r"^([0-9.eE+\-]+)\s*([A-Za-z_]\w*)$", value)
-            if not m:
-                self.err(lineno, vcol,
-                         "expected '<number> <unit>' with unit us or ns "
-                         "(unit suffix mandatory on times)")
-                return None
-            try:
-                num = float(m.group(1))
-            except ValueError:
-                self.err(lineno, vcol, f"bad number {m.group(1)!r}")
-                return None
-            unit = m.group(2)
-            if unit not in TIME_UNITS:
-                self.err(lineno, vcol + len(m.group(1)),
-                         f"unknown time unit {unit!r} (expected us or ns)")
-                return None
-            t = num * TIME_UNITS[unit]
-        if not math.isfinite(t):
-            self.err(lineno, vcol, "expected a finite value")
-            return None
-        return t
 
     # -- pass 2: assemble ------------------------------------------------
     def build(self) -> Optional[Netlist]:
@@ -632,12 +615,13 @@ class _Parser:
                 self.err(lineno, vcol,
                          f"unknown task {value!r} (expected one of: {names})")
         elif fld in ("t_max", "tau_star"):
-            v = self.eval_time(value, lineno, vcol)
+            v = self.eval_scalar(value, registry, lineno, vcol,
+                                 want_unit=True, units=TIME_UNITS)
             if v is not None:
-                if v <= 0:
+                if v.real <= 0:
                     self.err(lineno, vcol, f"{fld} must be positive")
                 else:
-                    run_fields[fld] = v
+                    run_fields[fld] = v.real
         elif fld == "n_points":
             try:
                 n = _as_int(value)
@@ -720,7 +704,8 @@ def parse(text: str, overrides: Mapping[str, float] | None = None) -> Netlist:
 # ---------------------------------------------------------------------------
 
 def format_netlist(net: Netlist) -> str:
-    """Canonical netlist text; parsing it reproduces the same AST."""
+    """Canonical netlist text; parsing it reproduces the same AST.  Each
+    run's ``manifest.json`` records its netlist in this form."""
     out = []
     for label, dim in zip(net.registry.labels, net.registry.dims):
         out.append(f"mode.{label} = {dim}")

@@ -19,12 +19,12 @@ non-negative.  ``kerr-coeffs`` reads the self-Kerr or cross-Kerr template
 (Sec. 4) and evaluates the closed forms.  ``extract_quartic`` classifies a
 netlist against the quartic template (Sec. 5): it has the template's
 signature when every loop couples downstream through x^2 and the a^dag a
-and x loops are among them.  ``quartic-coeffs`` needs that signature; with
+and x loops are among them, and a netlist with it must pass every other
+check of the template.  ``quartic-coeffs`` needs that signature; with
 ``run.high_gain`` a netlist that has it is synthesized as the quartic
-oscillator, and it then must pass every other check of the template.  Any
-other netlist is reduced loop by loop (``eliminate_amplifier``, or
-``high_gain_limit`` with ``run.high_gain``).  ``oracle-sweep`` checks the
-amplifier elimination against the full loop.
+oscillator.  Any other netlist is reduced loop by loop
+(``eliminate_amplifier``, or ``high_gain_limit`` with ``run.high_gain``).
+``oracle-sweep`` checks the amplifier elimination against the full loop.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class QuarticExtraction:
     A1: float
     A3: float
     A4: float
-    loop2_declared: tuple[float, float] | None  # (G2, A2) as written
 
     def coefficients(self) -> QuarticCoefficients:
         return quartic_coefficients(
@@ -132,8 +131,10 @@ def extract_quartic(net: Netlist) -> QuarticExtraction | str:
     the a^dag a and x loops among them.  A netlist without it returns the
     first failed check's message, in loop order; one with it returns the
     extraction, or raises PhysicsValidationError with the first failed
-    check among the others (a downstream rate that differs, a duplicate or
-    an unknown upstream coupling).
+    check among the others: a downstream rate that differs, a duplicate or
+    an unknown upstream coupling, a direct drive off the position
+    quadrature (phi = -pi/2), or a declared a^dag^2 partner whose G0 and A
+    do not balance the a^dag a loop.
     """
     if len(net.registry) != 1:
         return "quartic synthesis needs a single mode"
@@ -177,14 +178,18 @@ def extract_quartic(net: Netlist) -> QuarticExtraction | str:
         return error or "quartic synthesis needs at least the ad*a and x loops"
     if error:
         raise PhysicsValidationError(error)
+    if net.has_drive and net.drive_A > 0 and (
+        abs(net.drive_phi + math.pi / 2) > 1e-9
+    ):
+        raise PhysicsValidationError(
+            "the direct drive line must run at phi = -pi/2 (position-"
+            f"quadrature drive); declared phi = {net.drive_phi!r}"
+        )
     lp1, gamma1 = found["n"]
     lp3, gamma3 = found["x"]
-    loop2_declared = None
-    gamma2 = gamma1  # matched partner default: same upstream rate scale
-    if "ad2" in found:
-        lp2, gamma2 = found["ad2"]
-        loop2_declared = (_loop_G0(lp2), lp2.A)
-    return QuarticExtraction(
+    # without a partner loop, the matched one at the same upstream rate
+    lp2, gamma2 = found.get("ad2", (None, gamma1))
+    q = QuarticExtraction(
         gamma=gamma,
         G1=_loop_G0(lp1),
         G3=_loop_G0(lp3),
@@ -194,8 +199,20 @@ def extract_quartic(net: Netlist) -> QuarticExtraction | str:
         A1=lp1.A,
         A3=lp3.A,
         A4=net.drive_A,
-        loop2_declared=loop2_declared,
     )
+    if lp2 is not None:
+        qc = q.coefficients()
+        g2d, a2d = _loop_G0(lp2), lp2.A
+        if abs(g2d - qc.G2) > 1e-6 * max(qc.G2, 1.0) or (
+            abs(a2d - qc.A2) > 1e-6 * max(qc.A2, 1.0)
+        ):
+            raise PhysicsValidationError(
+                "declared quadratic-partner loop is mismatched: needs "
+                f"G0 = {qc.G2:.9g} and A = {qc.A2:.9g} to balance the "
+                "ad*a loop (declared "
+                f"G0 = {g2d:.9g}, A = {a2d:.9g})"
+            )
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +245,10 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
 
     The high-gain limit of the multi-loop construction is, by design, the
     polynomial Hamiltonian sum_k chi_k x^k; this synthesizes it directly
-    from the loop parameters ``q`` read off ``net`` and attaches the
-    declared loss channels.
+    from the loop parameters ``q`` that ``extract_quartic`` read off ``net``
+    and attaches the declared loss channels.
     """
-    if net.has_drive and net.drive_A > 0 and (
-        abs(net.drive_phi + math.pi / 2) > 1e-9
-    ):
-        raise PhysicsValidationError(
-            "the direct drive line must run at phi = -pi/2 (position-"
-            f"quadrature drive); declared phi = {net.drive_phi!r}"
-        )
     qc = q.coefficients()
-    if q.loop2_declared is not None:
-        g2d, a2d = q.loop2_declared
-        if abs(g2d - qc.G2) > 1e-6 * max(qc.G2, 1.0) or (
-            abs(a2d - qc.A2) > 1e-6 * max(qc.A2, 1.0)
-        ):
-            raise PhysicsValidationError(
-                "declared quadratic-partner loop is mismatched: needs "
-                f"G0 = {qc.G2:.9g} and A = {qc.A2:.9g} to balance the "
-                "ad*a loop (declared "
-                f"G0 = {g2d:.9g}, A = {a2d:.9g})"
-            )
     label = net.registry.labels[0]
     x_op = OperatorExpr.position(net.registry, label)
     h = net.plant_H
@@ -264,9 +263,8 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
         registry=net.registry,
     )
     info = {
-        "extraction": dataclasses.asdict(
-            dataclasses.replace(q, loop2_declared=None)
-        ),
+        # the partner loop is checked, not used: recorded as null
+        "extraction": {**dataclasses.asdict(q), "loop2_declared": None},
         "coefficients": dataclasses.asdict(qc),
     }
     return BuiltModel(model=model, kind="quartic-synthesis", info=info)
@@ -442,9 +440,9 @@ def _run_steady(net: Netlist) -> Result:
 
 
 def _run_g2(net: Netlist) -> Result:
-    built = build_model(net)
     if len(net.registry) != 1:
         raise PhysicsValidationError("g2 task supports single-mode netlists")
+    built = build_model(net)
     dims = net.registry.dims
     liou = build_liouvillian(built.model)
     steady_stats: dict = {}

@@ -23,7 +23,7 @@ from slhnet.lindblad import (
     build_liouvillian,
     to_coords,
 )
-from slhnet.netlist import NetlistParseError, parse
+from slhnet.netlist import NetlistParseError, format_netlist, parse
 from slhnet.pipeline import build_model
 
 NETLIST_DIR = Path(__file__).resolve().parent.parent / "netlists"
@@ -80,6 +80,17 @@ bath.loss.a = 2.0 rad_per_us
 run.task = g2
 run.t_max = 2.0 us
 run.n_points = 5
+"""
+
+# a weakly driven cavity with a strong Kerr term: photon blockade admits
+# one photon at a time (g2(0) = 0.0019)
+BLOCKADE_G2_NET = """
+mode.a = 8
+plant.H = 20.0 rad_per_us * ad@a^2 * a@a^2 + 0.5 rad_per_us * (a@a + ad@a)
+bath.loss.a = 1.0 rad_per_us
+run.task = g2
+run.t_max = 5.0 us
+run.n_points = 50
 """
 
 # a free mode a beside a driven lossy mode b: the drive fills b's 4 levels,
@@ -168,10 +179,17 @@ def write_net(tmp_path: Path, text: str, name: str = "in.net") -> Path:
 
 
 def run_cli(tmp_path: Path, text: str, *extra: str, sub: str = "out") -> Path:
+    """Run the CLI on ``text``.  The manifest records the netlist that ran
+    as canonical text: it parses back to that netlist (``text``, unless an
+    override changed it) and formats to itself."""
     nl = write_net(tmp_path, text)
     outdir = tmp_path / sub
     rc = main(["--netlist", str(nl), "--out", str(outdir), *extra])
     assert rc == 0
+    resolved = json.loads((outdir / "manifest.json").read_text())["resolved"]
+    assert format_netlist(parse(resolved)) == resolved
+    if "--truncation-override" not in extra:
+        assert parse(resolved) == parse(text)
     return outdir
 
 
@@ -295,6 +313,12 @@ class TestArtifacts:
         assert res["sub_poissonian"] is False
         assert res["antibunched"] is antibunched
 
+    def test_photon_blockade_is_sub_poissonian_and_antibunched(self):
+        res = slhnet.pipeline.run(parse(BLOCKADE_G2_NET)).results
+        assert res["g2_0"] < 0.01
+        assert res["sub_poissonian"] is True
+        assert res["antibunched"] is True
+
     def test_hamiltonian_dominated_g2_reports_chebyshev(self, tmp_path, capsys):
         out = run_cli(tmp_path, KERR_G2_NET)
         capsys.readouterr()
@@ -402,6 +426,7 @@ class TestExitCodes:
         assert "cannot read netlist" in capsys.readouterr().err
 
     def test_physics_validation_is_exit_three(self, tmp_path, capsys):
+        """A run that fails writes nothing, not even its output directory."""
         text = (
             "mode.a = 4\nmode.b = 4\nbath.loss.a = 1.0 rad_per_us\n"
             "run.task = g2\n"
@@ -409,7 +434,10 @@ class TestExitCodes:
         nl = write_net(tmp_path, text)
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert "physics validation error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "physics validation error: g2 task supports single-mode "
+            "netlists\n")
+        assert not (tmp_path / "o").exists()
 
     def test_fano_skips_the_gaussian_reference(self, tmp_path, capsys):
         """fano reports no delta, so the Gaussian reference's self-check
@@ -438,6 +466,7 @@ class TestExitCodes:
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore:steady-state residual")
     def test_negative_steady_population_is_exit_four(self, tmp_path, capsys,
@@ -500,9 +529,9 @@ class TestOverridesAndSweeps:
         out = run_cli(tmp_path, EVOLVE_NET, "--truncation-override", "14")
         capsys.readouterr()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["resolved"]["modes"] == [
-            {"label": "a", "truncation": 14}
-        ]
+        resolved = parse(manifest["resolved"])
+        assert resolved.registry.dims == (14,)
+        assert resolved == parse(EVOLVE_NET, {"mode.a": 14})
 
     def test_sweep_fans_out_subdirectories(self, tmp_path, capsys):
         nl = write_net(tmp_path, EVOLVE_NET)
@@ -517,10 +546,33 @@ class TestOverridesAndSweeps:
             manifest = json.loads(
                 (outdir / name / "manifest.json").read_text()
             )
-            assert manifest["resolved"]["losses"] == [
-                {"mode": "a", "rate_rad_us": rate}
-            ]
+            resolved = parse(manifest["resolved"])
+            assert resolved.losses == (("a", rate),)
+            assert resolved == parse(EVOLVE_NET, {"bath.loss.a": rate})
             assert (outdir / name / "evolve.csv").exists()
+
+    def test_g0_sweep_point_records_the_declared_gain(self, tmp_path,
+                                                      capsys):
+        """A G0 loop is recorded with the G0 it ran at, exactly, and with no
+        kappa or xi: replaying the record runs the same point."""
+        outdir = tmp_path / "sweep"
+        text = (NETLIST_DIR / "kerr_sec4.net").read_text()
+        rc = main(["--netlist", str(NETLIST_DIR / "kerr_sec4.net"),
+                   "--out", str(outdir), "--sweep", "loop.k.G0=50:100:2"])
+        capsys.readouterr()
+        assert rc == 0
+        for g0 in (50.0, 100.0):
+            manifest = json.loads(
+                (outdir / f"loop_k_G0={g0:g}" / "manifest.json").read_text())
+            resolved = manifest["resolved"]
+            loop_lines = [ln for ln in resolved.splitlines()
+                          if ln.startswith("loop.k.")]
+            assert f"loop.k.G0 = {g0!r}" in loop_lines
+            assert not [ln for ln in loop_lines
+                        if ln.startswith(("loop.k.kappa", "loop.k.xi"))]
+            assert parse(resolved) == parse(text, {"loop.k.G0": g0})
+            assert format_netlist(parse(resolved)) == resolved
+            assert manifest["results"]["G0"] == g0
 
     def test_sweep_values_sharing_a_directory_are_exit_three(self, tmp_path,
                                                              capsys):
@@ -647,11 +699,14 @@ class TestModelAssembly:
         # the quadratic partner loop is induced by the quartic one
         assert chi["G2"] == pytest.approx(1000.0, rel=1e-9)
 
-    def test_quartic_drive_must_sit_on_position_quadrature(self):
-        bad = parse((NETLIST_DIR / "quartic_sec5.net").read_text(),
-                    {"drive.phi": 0.0})
+    @pytest.mark.parametrize("task", ["nongauss", "quartic-coeffs"])
+    def test_quartic_drive_must_sit_on_position_quadrature(self, task):
+        """The coefficient task checks the template as the model task does."""
+        text = (NETLIST_DIR / "quartic_sec5.net").read_text().replace(
+            "run.task = nongauss", f"run.task = {task}")
+        bad = parse(text, {"drive.phi": 0.0, "mode.a": 12})
         with pytest.raises(PhysicsValidationError, match="phi = -pi/2"):
-            build_model(bad)
+            slhnet.pipeline.run(bad)
 
     def test_direct_drive_requires_quartic_template(self):
         text = PUMPED_NET + "drive.A = 1.0\ndrive.phi = 0.0\n"

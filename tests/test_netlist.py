@@ -76,8 +76,13 @@ class TestParsing:
         assert (net.plant_H - 2 * math.pi * n).max_coeff() < 1e-12
 
     def test_time_unit_conversion(self):
+        """Times share the expression grammar, with a time unit suffix."""
         net = parse("mode.a = 4\nrun.t_max = 60 ns\n")
-        assert net.run.t_max == pytest.approx(0.06)
+        assert net.run.t_max == pytest.approx(0.06, rel=1e-15)
+        net = parse("mode.a = 4\nrun.tau_star = 2 * 30 ns\n")
+        assert net.run.tau_star == pytest.approx(0.06, rel=1e-15)
+        # an override is a number in us and needs no suffix
+        assert parse("mode.a = 4\n", {"run.t_max": 0.06}).run.t_max == 0.06
 
     def test_pi_constant_in_scalars(self):
         net = parse(
@@ -171,6 +176,20 @@ class TestDiagnostics:
         diags = diagnostics_of(f"mode.a = 4\n{line}\n")
         assert [(d.line, d.message) for d in diags] == [
             (2, "expected a finite value")]
+
+    @pytest.mark.parametrize("value,message", [
+        ("0.06", "unit suffix missing on dimensioned quantity (use us or ns)"),
+        ("1 MHz_over_2pi",
+         "unknown unit suffix 'MHz_over_2pi' (expected one of ['ns', 'us'])"),
+        ("1e999 us", "expected a finite value"),
+        ("-1 us", "t_max must be positive"),
+        ("+1 us", "unexpected token '+'"),
+    ], ids=["no-suffix", "frequency-suffix", "non-finite", "negative",
+            "unary-plus"])
+    def test_time_needs_a_time_suffix_and_a_positive_value(self, value,
+                                                           message):
+        diags = diagnostics_of(f"mode.a = 4\nrun.t_max = {value}\n")
+        assert [(d.line, d.message) for d in diags] == [(2, message)]
 
     def test_drive_phase_without_amplitude(self):
         """A direct drive phase alone would be dropped: it needs drive.A."""

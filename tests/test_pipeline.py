@@ -140,12 +140,15 @@ class TestQuarticTemplate:
             rel=1e-9)
         assert res["induced_G2"] == pytest.approx(1000.0, rel=1e-9)
 
-    def test_mismatched_partner_loop(self):
-        text = replaced(QUARTIC, "loop.q2.G0    = 1000", "loop.q2.G0    = 900")
+    @pytest.mark.parametrize("text", [QUARTIC, QUARTIC_COEFFS],
+                             ids=["nongauss", "quartic-coeffs"])
+    def test_mismatched_partner_loop(self, text):
+        """Both tasks that read the template check the partner loop."""
+        text = replaced(text, "loop.q2.G0    = 1000", "loop.q2.G0    = 900")
         with pytest.raises(PhysicsValidationError,
                            match="declared quadratic-partner loop is "
                                  "mismatched: needs G0 = 1000 and A = "):
-            build_model(parse(text, {"mode.a": 12}))
+            run(parse(text, {"mode.a": 12}))
 
     def test_optional_partner_loop(self):
         """Without the ad^2 loop the synthesis assumes the matched partner."""
