@@ -31,6 +31,8 @@ The ``g2`` task reports two distinct properties of the steady-state light
 (Zou & Mandel, PRA 41, 475 (1990)): ``sub_poissonian`` is g2(0) < 1, photon
 counts narrower than Poisson; ``antibunched`` is max g2(tau > 0) > g2(0),
 g2 rising from zero delay.  Bunched light (g2(0) > 1) can be antibunched.
+``steady`` reports ``sub_poissonian`` as Fano < 1: for one mode Fano =
+1 + <n>(g2(0) - 1), the same definition; an undefined (NaN) Fano gives false.
 
 Exit codes: 0 success, 2 parse error, 3 physics validation error,
 4 numerical failure.

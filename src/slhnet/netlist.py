@@ -21,13 +21,20 @@ Line-oriented ``dotted.key = value`` syntax, ``#`` comments.  Keys:
 
 Expression grammar (shared by every scalar, time and operator value):
 ``+ - * ^``, ``sqrt()``, ``pi``, parentheses, real/imaginary literals
-(``2.5``, ``0.5j``), mode operators ``a@label`` / ``ad@label``.  Numbers
-may carry a unit suffix: a frequency ``MHz_over_2pi`` (converted by 2*pi)
-or ``rad_per_us`` (native), a time ``us`` (native) or ``ns``.  The
-frequency keys ``kappa``, ``xi`` and ``bath.loss.*`` require a frequency
-suffix; the times ``run.t_max`` and ``run.tau_star`` require a time suffix
-(``60 ns``, ``2 * 30 ns``) and accept no other.  All stored values are
-angular rad/us (times in us), and every scalar must be finite.
+(``2.5``, ``0.5j``), mode operators ``a@label`` / ``ad@label``.  The kind
+of a key (``_KEYS``) fixes the unit suffixes its numbers take:
+
+* rate, a frequency suffix required: ``bath.loss.*``, ``kappa``, ``xi``;
+* sqrt-rate, a frequency suffix allowed: ``loop.*.A`` and ``drive.A``
+  (``sqrt(40 MHz_over_2pi)``); operator values too;
+* pure number, no suffix: ``theta``, ``phi``, ``G0``, ``drive.phi`` and
+  the ``z`` of ``coherent:z``;
+* time, ``us`` (native) or ``ns`` required: ``run.t_max``, ``run.tau_star``
+  (``60 ns``, ``2 * 30 ns``).
+
+A frequency is ``MHz_over_2pi`` (converted by 2*pi) or ``rad_per_us``
+(native).  All stored values are angular rad/us (times in us), and every
+scalar must be finite.
 
 ``parse(text, overrides)`` sets keys to numbers in those canonical units
 (rad/us, us, raw), replacing the written value or adding the key.  A number
@@ -43,7 +50,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .algebra import ModeRegistry, OperatorExpr, format_complex, format_operator
 from .network import AmplifierParams, NetworkError
@@ -278,11 +285,11 @@ class _ExprParser:
                 val *= self.units[nxt.text]
                 self.unit_seen = True
             elif nxt and nxt.kind == "name":
-                raise _ExprError(
-                    nxt.col,
+                raise _ExprError(nxt.col, (
                     f"unknown unit suffix {nxt.text!r} "
-                    f"(expected one of {sorted(self.units)})",
-                )
+                    f"(expected one of {sorted(self.units)})" if self.units
+                    else f"unit suffix {nxt.text!r} on a pure number (this "
+                    "value takes no unit)"))
             return OperatorExpr.identity(self.reg, val)
         if t.kind == "op":
             kind, label = t.text.split("@", 1)
@@ -334,6 +341,52 @@ _KEY_RE = re.compile(r"^[A-Za-z_][\w.\-]*$")
 _LABEL_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 
+class _Bound(NamedTuple):
+    holds: Callable[[object], bool]
+    message: str  # formatted with the key's name
+
+
+_NONNEG = _Bound(lambda v: v >= 0, "expected a non-negative value")
+_POSITIVE = _Bound(lambda v: v > 0, "{name} must be positive")
+_PHASE = _Bound(lambda v: -math.pi <= v <= math.pi,
+                "{name} must lie in [-pi, pi]")
+_AT_LEAST_2 = _Bound(lambda n: n >= 2, "{name} must be >= 2")
+
+# The unit suffixes of each kind of expression, and whether it needs one.
+_UNITS: dict[str, tuple[Mapping[str, float], bool]] = {
+    "rate": (FREQ_UNITS, True),
+    "sqrt_rate": (FREQ_UNITS, False),  # sqrt(40 MHz_over_2pi)
+    "number": ({}, False),
+    "time": (TIME_UNITS, True),
+    "operator": (FREQ_UNITS, False),
+}
+
+# Every key: its kind (those in _UNITS are expressions) and the bound its
+# value must meet.  '*' stands for a mode label (mode.*, bath.loss.*) or a
+# loop id (loop.*).
+_KEYS: dict[str, tuple[str, Optional[_Bound]]] = {
+    "mode.*": ("count", _AT_LEAST_2),
+    "plant.H": ("operator", None),
+    "bath.loss.*": ("rate", _NONNEG),
+    "loop.*.theta": ("number", None),
+    "loop.*.L": ("operator", None),
+    "loop.*.L_f": ("operator", None),
+    "loop.*.kappa": ("rate", _NONNEG),
+    "loop.*.xi": ("rate", _NONNEG),
+    "loop.*.G0": ("number", None),
+    "loop.*.A": ("sqrt_rate", _NONNEG),
+    "loop.*.phi": ("number", _PHASE),
+    "drive.A": ("sqrt_rate", _NONNEG),
+    "drive.phi": ("number", None),
+    "run.task": ("task", None),
+    "run.t_max": ("time", _POSITIVE),
+    "run.n_points": ("count", _AT_LEAST_2),
+    "run.initial_state": ("state", None),  # coherent:<z> is a number
+    "run.high_gain": ("flag", None),
+    "run.tau_star": ("time", _POSITIVE),
+}
+
+
 def _strip_comment(line: str) -> str:
     k = line.find("#")
     return line if k < 0 else line[:k]
@@ -345,7 +398,7 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         # key, value (text, or an override number), line, value column
         self.pairs: list[tuple[str, str | float, int, int]] = []
-        self.seen_keys: dict[str, int] = {}
+        self.lines: dict[str, int] = {}  # key -> its line
 
     def err(self, line: int, col: int, msg: str):
         self.diags.append(Diagnostic(line, col, msg))
@@ -378,12 +431,12 @@ class _Parser:
             if value == "":  # an override of 0 is a value
                 self.err(lineno, vcol, f"missing value for {key!r}")
                 continue
-            if key in self.seen_keys:
+            if key in self.lines:
                 self.err(lineno, 1,
                          f"duplicate key {key!r} (first at line "
-                         f"{self.seen_keys[key]})")
+                         f"{self.lines[key]})")
                 continue
-            self.seen_keys[key] = lineno
+            self.lines[key] = lineno
             self.pairs.append((key, value, lineno, vcol))
         # keys the text does not set follow its last line, as 'key = value'
         for lineno, (key, value) in enumerate(pending.items(),
@@ -391,17 +444,17 @@ class _Parser:
             if not _KEY_RE.match(key):
                 self.err(lineno, 1, f"invalid key {key!r}")
                 continue
+            self.lines[key] = lineno
             self.pairs.append((key, value, lineno, len(key) + 4))
 
-    # -- helpers ---------------------------------------------------------
+    # -- pass 2: evaluate each key by its entry in _KEYS --------------------
     def eval_expr(self, value, registry, lineno: int, vcol: int,
-                  want_unit: bool = False,
-                  units: Mapping[str, float] = FREQ_UNITS
-                  ) -> Optional[OperatorExpr]:
+                  kind: str = "operator") -> Optional[OperatorExpr]:
         if not isinstance(value, str):
             self.err(lineno, vcol,
                      "expected an operator expression, found a number")
             return None
+        units, unit_required = _UNITS[kind]
         try:
             toks = _tokenize(value, vcol)
             p = _ExprParser(toks, registry, vcol + len(value), units)
@@ -409,20 +462,17 @@ class _Parser:
         except _ExprError as e:
             self.err(lineno, e.col, e.message)
             return None
-        if want_unit and not p.unit_seen:
+        if unit_required and not p.unit_seen:
             self.err(lineno, vcol,
                      "unit suffix missing on dimensioned quantity "
                      f"(use {' or '.join(units)})")
             return None
         return out
 
-    def eval_scalar(self, value, registry, lineno, vcol, want_unit=False,
-                    real=True, nonneg=False,
-                    units: Mapping[str, float] = FREQ_UNITS
-                    ) -> Optional[complex]:
+    def eval_scalar(self, value, registry, lineno, vcol, kind: str
+                    ) -> Optional[float]:
         if isinstance(value, str):
-            x = self.eval_expr(value, registry, lineno, vcol, want_unit,
-                               units)
+            x = self.eval_expr(value, registry, lineno, vcol, kind)
             if x is None:
                 return None
             v = _as_scalar(x)
@@ -435,137 +485,117 @@ class _Parser:
         if not cmath.isfinite(v):
             self.err(lineno, vcol, "expected a finite value")
             return None
-        if real and abs(v.imag) > 1e-12 * max(1.0, abs(v)):
+        if abs(v.imag) > 1e-12 * max(1.0, abs(v)):
             self.err(lineno, vcol, "expected a real value")
             return None
-        if nonneg and v.real < 0:
-            self.err(lineno, vcol, "expected a non-negative value")
+        return v.real
+
+    def evaluate(self, key, value, registry, lineno, vcol):
+        """The value of ``key`` as its table entry reads it, or None after a
+        diagnostic."""
+        parts = key.split(".")
+        wild = [".".join(parts[:i] + ["*"] + parts[i + 1:])
+                for i in range(1, len(parts))]
+        entry = next((_KEYS[k] for k in (key, *wild) if k in _KEYS), None)
+        if parts[0] == "mode" and (entry is None
+                                   or not _LABEL_RE.match(parts[1])):
+            self.err(lineno, 1, f"bad mode declaration key {key!r}")
+            return None
+        if entry is None:  # a loop.<id>.<field> or run.<field> names its field
+            field_of = {"loop": 3, "run": 2}.get(parts[0]) == len(parts)
+            self.err(lineno, 1, f"unknown {parts[0]} field {parts[-1]!r}"
+                     if field_of else f"unknown key {key!r}")
+            return None
+        if parts[0] == "bath" and parts[2] not in registry.labels:
+            self.err(lineno, 1, f"unknown mode label {parts[2]!r}")
+            return None
+        kind, bound = entry
+        name = "truncation" if parts[0] == "mode" else parts[-1]
+        if kind == "operator":
+            return self.eval_expr(value, registry, lineno, vcol)
+        if kind in _UNITS:
+            v = self.eval_scalar(value, registry, lineno, vcol, kind)
+        elif kind == "count":
+            try:
+                v = _as_int(value)
+            except ValueError:
+                self.err(lineno, vcol, f"{name} must be an integer")
+                return None
+        elif kind == "task":
+            try:
+                v = Task(value)
+            except ValueError:
+                names = ", ".join(t.value for t in Task)
+                self.err(lineno, vcol,
+                         f"unknown task {value!r} (expected one of: {names})")
+                return None
+        elif kind == "state":
+            v = self._parse_state(value, registry, lineno, vcol)
+        elif value in ("true", "false"):  # a flag
+            v = value == "true"
+        else:
+            self.err(lineno, vcol, f"{name} must be true or false")
+            return None
+        if v is not None and bound is not None and not bound.holds(v):
+            self.err(lineno, vcol, bound.message.format(name=name))
             return None
         return v
 
-    # -- pass 2: assemble ------------------------------------------------
+    # -- pass 3: assemble ------------------------------------------------
     def build(self) -> Optional[Netlist]:
-        mode_decls: list[tuple[str, int, int]] = []  # label, trunc, line
+        # modes first: every other key is read over their registry
+        dims: dict[str, int] = {}
         others = []
         for key, value, lineno, vcol in self.pairs:
-            parts = key.split(".")
-            if parts[0] == "mode":
-                if len(parts) != 2 or not _LABEL_RE.match(parts[1]):
-                    self.err(lineno, 1, f"bad mode declaration key {key!r}")
-                    continue
-                try:
-                    trunc = _as_int(value)
-                except ValueError:
-                    self.err(lineno, vcol, f"truncation must be an integer")
-                    continue
-                if trunc < 2:
-                    self.err(lineno, vcol, "truncation must be >= 2")
-                    continue
-                mode_decls.append((parts[1], trunc, lineno))
-            else:
-                others.append((parts, value, lineno, vcol))
-
-        if not mode_decls:
+            if key.split(".")[0] != "mode":
+                others.append((key, value, lineno, vcol))
+                continue
+            trunc = self.evaluate(key, value, None, lineno, vcol)
+            if trunc is not None:
+                dims[key[5:]] = trunc
+        if not dims:
             self.err(1, 1, "no modes declared (need at least one mode.<label>)")
             return None
-        registry = ModeRegistry(tuple((l, t) for l, t, _ in mode_decls))
+        registry = ModeRegistry(tuple(dims.items()))
 
-        plant_H = OperatorExpr.zero(registry)
-        losses: list[tuple[str, float]] = []
-        loop_fields: dict[str, dict] = {}
-        loop_lines: dict[str, int] = {}
-        drive_A = drive_phi = None
-        run_fields: dict[str, object] = {}
+        values: dict[str, object] = {}
+        loop_lines: dict[str, int] = {}  # loop id -> its first line
+        for key, value, lineno, vcol in others:
+            parts = key.split(".")
+            if parts[0] == "loop" and len(parts) == 3:
+                loop_lines.setdefault(parts[1], lineno)
+            v = self.evaluate(key, value, registry, lineno, vcol)
+            if v is not None:
+                values[key] = v
 
-        for parts, value, lineno, vcol in others:
-            head = parts[0]
-            if head == "plant" and parts[1:] == ["H"]:
-                x = self.eval_expr(value, registry, lineno, vcol)
-                if x is not None:
-                    plant_H = x
-            elif head == "bath" and len(parts) == 3 and parts[1] == "loss":
-                label = parts[2]
-                if label not in registry.labels:
-                    self.err(lineno, 1, f"unknown mode label {label!r}")
-                    continue
-                v = self.eval_scalar(value, registry, lineno, vcol,
-                                     want_unit=True, nonneg=True)
-                if v is not None:
-                    losses.append((label, v.real))
-            elif head == "loop" and len(parts) == 3:
-                ident, fld = parts[1], parts[2]
-                loop_lines.setdefault(ident, lineno)
-                fields = loop_fields.setdefault(ident, {})
-                self._loop_field(fields, fld, value, registry, lineno, vcol)
-            elif head == "drive" and len(parts) == 2 and parts[1] in ("A", "phi"):
-                if parts[1] == "A":
-                    v = self.eval_scalar(value, registry, lineno, vcol,
-                                         nonneg=True)
-                    if v is not None:
-                        drive_A = v.real
-                else:
-                    phi_line = lineno
-                    v = self.eval_scalar(value, registry, lineno, vcol)
-                    if v is not None:
-                        drive_phi = v.real
-            elif head == "run" and len(parts) == 2:
-                self._run_field(run_fields, parts[1], value, registry,
-                                lineno, vcol)
-            else:
-                self.err(lineno, 1, f"unknown key {'.'.join(parts)!r}")
-
-        if drive_phi is not None and drive_A is None:
-            self.err(phi_line, 1, "drive.phi without drive.A: the direct "
-                     "drive line needs its amplitude")
+        if "drive.phi" in values and "drive.A" not in values:
+            self.err(self.lines["drive.phi"], 1, "drive.phi without drive.A: "
+                     "the direct drive line needs its amplitude")
         loops = []
-        for ident in sorted(loop_fields, key=_loop_sort_key):
-            loop = self._assemble_loop(ident, loop_fields[ident],
-                                       loop_lines[ident], registry)
+        for ident in sorted(loop_lines, key=_loop_sort_key):
+            prefix = f"loop.{ident}."
+            fields = {k[len(prefix):]: v for k, v in values.items()
+                      if k.startswith(prefix)}
+            loop = self._assemble_loop(ident, fields, loop_lines[ident])
             if loop is not None:
                 loops.append(loop)
 
-        run = RunBlock(**run_fields)
         if self.diags:
             return None
         return Netlist(
             registry=registry,
-            plant_H=plant_H,
+            plant_H=values.get("plant.H", OperatorExpr.zero(registry)),
             loops=tuple(loops),
-            losses=tuple(losses),
-            drive_A=drive_A if drive_A is not None else 0.0,
-            drive_phi=drive_phi if drive_phi is not None else 0.0,
-            has_drive=drive_A is not None,
-            run=run,
+            losses=tuple((k[10:], v) for k, v in values.items()
+                         if k.startswith("bath.loss.")),
+            drive_A=values.get("drive.A", 0.0),
+            drive_phi=values.get("drive.phi", 0.0),
+            has_drive="drive.A" in values,
+            run=RunBlock(**{k[4:]: v for k, v in values.items()
+                            if k.startswith("run.")}),
         )
 
-    def _loop_field(self, fields, fld, value, registry, lineno, vcol):
-        if fld in ("theta", "phi"):
-            v = self.eval_scalar(value, registry, lineno, vcol)
-            if v is not None:
-                fields[fld] = v.real
-                if fld == "phi" and not (-math.pi <= v.real <= math.pi):
-                    self.err(lineno, vcol, "phi must lie in [-pi, pi]")
-        elif fld in ("L", "L_f"):
-            x = self.eval_expr(value, registry, lineno, vcol)
-            if x is not None:
-                fields[fld] = x
-        elif fld in ("kappa", "xi"):
-            v = self.eval_scalar(value, registry, lineno, vcol,
-                                 want_unit=True, nonneg=True)
-            if v is not None:
-                fields[fld] = v.real
-        elif fld == "G0":
-            v = self.eval_scalar(value, registry, lineno, vcol)
-            if v is not None:
-                fields["G0"] = v.real
-        elif fld == "A":
-            v = self.eval_scalar(value, registry, lineno, vcol, nonneg=True)
-            if v is not None:
-                fields["A"] = v.real
-        else:
-            self.err(lineno, 1, f"unknown loop field {fld!r}")
-
-    def _assemble_loop(self, ident, fields, line, registry):
+    def _assemble_loop(self, ident, fields, line):
         missing = [k for k in ("theta", "L", "L_f") if k not in fields]
         if missing:
             self.err(line, 1,
@@ -606,44 +636,6 @@ class _Parser:
             line=line,
         )
 
-    def _run_field(self, run_fields, fld, value, registry, lineno, vcol):
-        if fld == "task":
-            try:
-                run_fields["task"] = Task(value)
-            except ValueError:
-                names = ", ".join(t.value for t in Task)
-                self.err(lineno, vcol,
-                         f"unknown task {value!r} (expected one of: {names})")
-        elif fld in ("t_max", "tau_star"):
-            v = self.eval_scalar(value, registry, lineno, vcol,
-                                 want_unit=True, units=TIME_UNITS)
-            if v is not None:
-                if v.real <= 0:
-                    self.err(lineno, vcol, f"{fld} must be positive")
-                else:
-                    run_fields[fld] = v.real
-        elif fld == "n_points":
-            try:
-                n = _as_int(value)
-            except ValueError:
-                self.err(lineno, vcol, "n_points must be an integer")
-                return
-            if n < 2:
-                self.err(lineno, vcol, "n_points must be >= 2")
-            else:
-                run_fields["n_points"] = n
-        elif fld == "initial_state":
-            st = self._parse_state(value, registry, lineno, vcol)
-            if st is not None:
-                run_fields["initial_state"] = st
-        elif fld == "high_gain":
-            if value not in ("true", "false"):
-                self.err(lineno, vcol, f"{fld} must be true or false")
-            else:
-                run_fields[fld] = value == "true"
-        else:
-            self.err(lineno, 1, f"unknown run field {fld!r}")
-
     def _parse_state(self, value, registry, lineno, vcol):
         value = str(value)  # a number override names no state
         if value == "vacuum":
@@ -662,12 +654,15 @@ class _Parser:
             return StateSpec("fock", n=n)
         if value.startswith("coherent:"):
             lit = value[9:]
-            x = self.eval_expr(lit, registry, lineno, vcol + 9)
+            x = self.eval_expr(lit, registry, lineno, vcol + 9, "number")
             if x is None:
                 return None
             z = _as_scalar(x)
             if z is None:
                 self.err(lineno, vcol + 9, "coherent:<z> needs a scalar")
+                return None
+            if not cmath.isfinite(z):
+                self.err(lineno, vcol + 9, "expected a finite value")
                 return None
             return StateSpec("coherent", alpha=z)
         self.err(lineno, vcol,

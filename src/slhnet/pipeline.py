@@ -306,7 +306,8 @@ def build_model(net: Netlist) -> BuiltModel:
             raise type(e)(f"loop {lp.ident!r} (line {lp.line}): {e}")
         h = h + m.H_eff
         channels.extend(m.channels)
-        per_loop.append({"ident": lp.ident, "r0": lp.amp.r0, "G0": lp.amp.G0})
+        per_loop.append({"ident": lp.ident, "r0": lp.amp.r0,
+                         "G0": _loop_G0(lp)})
     model = EffectiveModel(
         H_eff=h, channels=tuple(channels), registry=net.registry
     )
@@ -433,7 +434,8 @@ def _run_steady(net: Netlist) -> Result:
     nbar = _mean_n(mats[0])
     purity = float(np.trace(rho.mat @ rho.mat).real)
     report, notes = _leak_check(net, [fock_leak(m) for m in mats])
-    results = {"mean_n": nbar, "fano": f, "delta": delta, "purity": purity}
+    results = {"mean_n": nbar, "fano": f, "sub_poissonian": f < 1.0,
+               "delta": delta, "purity": purity}
     columns = ("mean_n", "fano", "delta", "purity")
     rows = [(nbar, f, delta, purity)]
     return Result(columns, rows, results, built, stats, report, notes)

@@ -319,6 +319,30 @@ class TestArtifacts:
         assert res["sub_poissonian"] is True
         assert res["antibunched"] is True
 
+    @pytest.mark.parametrize("text,sub_poissonian", [
+        # the blockade cavity at 12 levels, where every check passes (at 8
+        # the Gaussian reference's self-check fails): Fano 0.667
+        (BLOCKADE_G2_NET.replace("mode.a = 8", "mode.a = 12"), True),
+        # squeezed vacuum at 16 levels: bunched, Fano 1.83
+        (SQUEEZED_G2_NET.replace("mode.a = 12", "mode.a = 16"), False),
+    ], ids=["blockade", "squeezed"])
+    def test_steady_sub_poissonian_is_fano_below_one(self, tmp_path, capsys,
+                                                     text, sub_poissonian):
+        """For one mode Fano = 1 + <n>(g2(0) - 1), so steady's Fano < 1 and
+        g2's g2(0) < 1 are the same flag."""
+        out = run_cli(tmp_path, text.replace("run.task = g2",
+                                             "run.task = steady"))
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        res = manifest["results"]
+        assert manifest["leak_report"]["within_threshold"] is True
+        assert res["sub_poissonian"] is sub_poissonian
+        assert (res["fano"] < 1.0) is sub_poissonian
+        g = slhnet.pipeline.run(parse(text)).results
+        assert g["sub_poissonian"] is sub_poissonian
+        assert res["fano"] == pytest.approx(
+            1.0 + res["mean_n"] * (g["g2_0"] - 1.0), rel=1e-12)
+
     def test_hamiltonian_dominated_g2_reports_chebyshev(self, tmp_path, capsys):
         out = run_cli(tmp_path, KERR_G2_NET)
         capsys.readouterr()
@@ -419,6 +443,17 @@ class TestExitCodes:
         assert "unknown mode label 'nope'" in err
         assert "line 2" in err
 
+    def test_unit_on_a_pure_number_is_exit_two(self, tmp_path, capsys):
+        """A frequency suffix on the in-loop phase is an error, not a factor
+        of 2 pi."""
+        nl = write_net(tmp_path, KX_NET.replace(
+            "loop.p.theta = 0.3", "loop.p.theta = 0.3 MHz_over_2pi"))
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ("line 3, col 20: unit suffix 'MHz_over_2pi' on a pure number "
+                "(this value takes no unit)\n") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_netlist_is_exit_two(self, tmp_path, capsys):
         rc = main(["--netlist", str(tmp_path / "missing.net"),
                    "--out", str(tmp_path / "o")])
@@ -489,6 +524,9 @@ class TestExitCodes:
         assert "warning" not in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["mean_n"] < 1e-9
+        # the vacuum's Fano is rounding noise (NaN at 121 levels, where
+        # <n> < 0): not sub-Poissonian
+        assert manifest["results"]["sub_poissonian"] is False
         assert manifest["integrator_stats"]["method"] == "sparse-shift-invert"
         assert manifest["leak_report"]["within_threshold"] is True
         assert "warning" not in (out / "summary.txt").read_text()

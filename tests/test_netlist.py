@@ -171,7 +171,8 @@ class TestDiagnostics:
         assert any("phi must lie" in d.message for d in diags)
 
     @pytest.mark.parametrize("line", ["bath.loss.a = 1e999 rad_per_us",
-                                      "run.t_max = 1e999 us"])
+                                      "run.t_max = 1e999 us",
+                                      "run.initial_state = coherent:1e999"])
     def test_non_finite_value_rejected(self, line):
         diags = diagnostics_of(f"mode.a = 4\n{line}\n")
         assert [(d.line, d.message) for d in diags] == [
@@ -190,6 +191,39 @@ class TestDiagnostics:
                                                            message):
         diags = diagnostics_of(f"mode.a = 4\nrun.t_max = {value}\n")
         assert [(d.line, d.message) for d in diags] == [(2, message)]
+
+    @pytest.mark.parametrize("line", [
+        "loop.q.theta = 1 MHz_over_2pi",
+        "loop.q.phi = 1 MHz_over_2pi",
+        "loop.q.G0 = 1 MHz_over_2pi",
+        "drive.phi = 1 MHz_over_2pi",
+        "run.initial_state = coherent:1 MHz_over_2pi",
+    ], ids=["theta", "phi", "G0", "drive.phi", "coherent"])
+    def test_pure_number_takes_no_unit(self, line):
+        """A phase, a gain and a coherent amplitude are pure numbers: a
+        frequency suffix is an error, not a factor of 2 pi."""
+        key = line.split(" = ")[0]
+        lines = [ln for ln in ("mode.a = 4", "loop.q.L = a@a",
+                               "loop.q.L_f = a@a", "loop.q.theta = 0.3",
+                               "loop.q.G0 = 4.0", "drive.A = 0.5")
+                 if not ln.startswith(key + " ")] + [line]
+        diags = diagnostics_of("\n".join(lines) + "\n")
+        assert [(d.col, d.message) for d in diags if d.line == len(lines)] == [
+            (1 + line.index("MHz_over_2pi"), "unit suffix 'MHz_over_2pi' on "
+             "a pure number (this value takes no unit)")]
+
+    def test_sqrt_rates_take_a_frequency_suffix(self):
+        """Amplitudes and operators are written with rates under sqrt()."""
+        net = parse(
+            "mode.a = 4\nplant.H = sqrt(40 MHz_over_2pi) * (a@a + ad@a)\n"
+            "loop.q.theta = 0\nloop.q.L = a@a\nloop.q.L_f = a@a\n"
+            "loop.q.G0 = 4\nloop.q.A = sqrt(40 MHz_over_2pi)\n"
+            "drive.A = sqrt(40 MHz_over_2pi)\n")
+        amp = math.sqrt(40 * 2 * math.pi)
+        assert net.loops[0].A == pytest.approx(amp, rel=1e-15)
+        assert net.drive_A == pytest.approx(amp, rel=1e-15)
+        x = OperatorExpr.annihilation(net.registry, "a")
+        assert (net.plant_H - amp * (x + x.adjoint())).max_coeff() < 1e-12
 
     def test_drive_phase_without_amplitude(self):
         """A direct drive phase alone would be dropped: it needs drive.A."""

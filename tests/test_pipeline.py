@@ -211,6 +211,13 @@ class TestPerLoopHighGain:
         net = parse(edit(replaced(QUARTIC, DRIVE_LINES, "")), {"mode.a": 12})
         self.assert_loop_by_loop(net, build_model(net))
 
+    def test_model_info_records_the_declared_gain(self):
+        """A G0 loop records the G0 it declares, not the one its pump
+        parameters realize to rounding (99.99999999999997)."""
+        net = parse(replaced(KERR, "run.task = kerr-coeffs",
+                             "run.task = steady"))
+        assert build_model(net).info["loops"][0]["G0"] == 100.0
+
     def test_quartic_loops_at_finite_gain_are_eliminated(self):
         net = parse(replaced(QUARTIC, DRIVE_LINES, "").replace(
             "run.high_gain = true", "run.high_gain = false"), {"mode.a": 12})
