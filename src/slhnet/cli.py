@@ -28,11 +28,13 @@ directory receives
   failed (the same line also goes to stderr).
 
 The ``g2`` task reports two distinct properties of the steady-state light
-(Zou & Mandel, PRA 41, 475 (1990)): ``sub_poissonian`` is g2(0) < 1, photon
-counts narrower than Poisson; ``antibunched`` is max g2(tau > 0) > g2(0),
-g2 rising from zero delay.  Bunched light (g2(0) > 1) can be antibunched.
-``steady`` reports ``sub_poissonian`` as Fano < 1: for one mode Fano =
-1 + <n>(g2(0) - 1), the same definition; an undefined (NaN) Fano gives false.
+(Zou & Mandel, PRA 41, 475 (1990)): ``sub_poissonian``, photon counts
+narrower than Poisson, and ``antibunched``, max g2(tau > 0) > g2(0), g2
+rising from zero delay.  Bunched light (g2(0) > 1) can be antibunched.
+``sub_poissonian`` is 1 - Fano > 1e-6, the leak threshold, below which
+truncation and rounding decide the sign; ``g2`` tests <n>(1 - g2(0)),
+which is 1 - Fano for one mode.  Fano is NaN, not sub-Poissonian, at
+<n> <= 1e-12, where it would be a ratio of rounding errors.
 
 Exit codes: 0 success, 2 parse error, 3 physics validation error,
 4 numerical failure.

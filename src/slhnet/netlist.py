@@ -113,9 +113,7 @@ class LoopDecl:
     theta: float
     L: OperatorExpr
     L_f: OperatorExpr
-    amp: AmplifierParams
-    gain_mode: str  # "kappa_xi" | "G0"
-    g0_declared: float = 0.0  # raw G0 literal (exact round-trip)
+    amp: AmplifierParams  # a written G0 is amp.declared_G0
     A: float = 0.0
     phi: float = 0.0
     # first declaration line; error anchoring only, not part of AST identity
@@ -140,7 +138,6 @@ class Netlist:
     losses: tuple[tuple[str, float], ...]  # (mode label, rate)
     drive_A: float = 0.0
     drive_phi: float = 0.0
-    has_drive: bool = False
     run: RunBlock = field(default_factory=RunBlock)
 
 
@@ -568,7 +565,7 @@ class _Parser:
             if v is not None:
                 values[key] = v
 
-        if "drive.phi" in values and "drive.A" not in values:
+        if "drive.phi" in values and "drive.A" not in self.lines:
             self.err(self.lines["drive.phi"], 1, "drive.phi without drive.A: "
                      "the direct drive line needs its amplitude")
         loops = []
@@ -576,7 +573,10 @@ class _Parser:
             prefix = f"loop.{ident}."
             fields = {k[len(prefix):]: v for k, v in values.items()
                       if k.startswith(prefix)}
-            loop = self._assemble_loop(ident, fields, loop_lines[ident])
+            written = {k[len(prefix):] for k in self.lines
+                       if k.startswith(prefix)}
+            loop = self._assemble_loop(ident, fields, written,
+                                       loop_lines[ident])
             if loop is not None:
                 loops.append(loop)
 
@@ -590,38 +590,38 @@ class _Parser:
                          if k.startswith("bath.loss.")),
             drive_A=values.get("drive.A", 0.0),
             drive_phi=values.get("drive.phi", 0.0),
-            has_drive="drive.A" in values,
             run=RunBlock(**{k[4:]: v for k, v in values.items()
                             if k.startswith("run.")}),
         )
 
-    def _assemble_loop(self, ident, fields, line):
-        missing = [k for k in ("theta", "L", "L_f") if k not in fields]
+    def _assemble_loop(self, ident, fields, written, line):
+        """The loop from its evaluated ``fields``.  The field checks read
+        ``written``, every field the text sets: a written field that did
+        not evaluate already has its diagnostic, and is not missing."""
+        missing = [k for k in ("theta", "L", "L_f") if k not in written]
         if missing:
             self.err(line, 1,
                      f"loop {ident!r} missing field(s): {', '.join(missing)}")
             return None
-        has_kx = "kappa" in fields or "xi" in fields
-        has_g = "G0" in fields
-        if has_kx == has_g:
+        has_kx = "kappa" in written or "xi" in written
+        if has_kx == ("G0" in written):
             self.err(line, 1,
                      f"loop {ident!r} needs exactly one of (kappa, xi) or G0")
             return None
-        g0_declared = 0.0
+        if has_kx and not {"kappa", "xi"} <= written:
+            self.err(line, 1, f"loop {ident!r} needs both kappa and xi")
+            return None
         try:
             if has_kx:
-                if "kappa" not in fields or "xi" not in fields:
-                    self.err(line, 1,
-                             f"loop {ident!r} needs both kappa and xi")
-                    return None
                 amp = AmplifierParams(fields["kappa"], fields["xi"])
-                gain_mode = "kappa_xi"
             else:
-                g0_declared = fields["G0"]
-                amp = AmplifierParams.from_gain(g0_declared)
-                gain_mode = "G0"
+                amp = AmplifierParams.from_gain(fields["G0"])
+        except KeyError:  # a rejected operating point has its diagnostic
+            return None
         except NetworkError as e:
             self.err(line, 1, f"loop {ident!r}: {e}")
+            return None
+        if not written <= fields.keys():  # so has any other rejected field
             return None
         return LoopDecl(
             ident=ident,
@@ -629,8 +629,6 @@ class _Parser:
             L=fields["L"],
             L_f=fields["L_f"],
             amp=amp,
-            gain_mode=gain_mode,
-            g0_declared=g0_declared,
             A=fields.get("A", 0.0),
             phi=fields.get("phi", 0.0),
             line=line,
@@ -712,16 +710,16 @@ def format_netlist(net: Netlist) -> str:
         out.append(f"{p}.theta = {lp.theta!r}")
         out.append(f"{p}.L = {format_operator(lp.L)}")
         out.append(f"{p}.L_f = {format_operator(lp.L_f)}")
-        if lp.gain_mode == "kappa_xi":
+        if lp.amp.declared_G0 is None:
             out.append(f"{p}.kappa = {lp.amp.kappa!r} rad_per_us")
             out.append(f"{p}.xi = {lp.amp.xi!r} rad_per_us")
         else:
-            out.append(f"{p}.G0 = {lp.g0_declared!r}")
+            out.append(f"{p}.G0 = {lp.amp.declared_G0!r}")
         if lp.A:
             out.append(f"{p}.A = {lp.A!r}")
         if lp.phi:
             out.append(f"{p}.phi = {lp.phi!r}")
-    if net.has_drive:
+    if net.drive_A or net.drive_phi:
         out.append(f"drive.A = {net.drive_A!r}")
         out.append(f"drive.phi = {net.drive_phi!r}")
     r = net.run

@@ -5,7 +5,7 @@ This module represents open quantum systems as SLH-style triples
 phase ``exp(i*theta)``, ``L`` is the collapse operator and ``H`` the
 Hamiltonian.  It provides
 
-* the series product and single-channel self-feedback,
+* the series product (Gough & James, IEEE TAC 54, 2530 (2009)),
 * a degenerate parametric amplifier component and the full composite of a
   feedback loop routed through it,
 * adiabatic elimination of the amplifier mode, yielding an effective plant
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import ModeRegistry, OperatorExpr, is_hermitian
 
@@ -107,23 +107,6 @@ def series_product(g1: SLHTriple, g2: SLHTriple) -> SLHTriple:
     )
 
 
-def self_feedback(g: SLHTriple) -> SLHTriple:
-    """Route the system's output back into its own input.
-
-    Equals the series product of the system with itself, with the plant
-    Hamiltonian counted once (the loop is one physical system traversed
-    twice by the field, not two copies of it).
-    """
-    s = cmath.exp(1j * g.theta)
-    ld = g.L.adjoint()
-    h_fb = 0.5j * (ld * g.L * s.conjugate() - ld * g.L * s)
-    return SLHTriple(
-        theta=2.0 * g.theta,
-        L=g.L + s * g.L,
-        H=g.H + h_fb,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Amplifier parameters
 # ---------------------------------------------------------------------------
@@ -136,10 +119,15 @@ class AmplifierParams:
     (kappa - xi))`` and power gain ``G0 = cosh(r0)^2``.
     Requires ``0 <= xi < kappa`` with a guard band ``(kappa - xi) / kappa
     >= 1e-6`` away from the instability threshold.
+
+    :meth:`from_gain` keeps the gain it was given as ``declared_G0``, and
+    ``G0`` returns it exactly (``cosh(r0)^2`` reads 99.99999999999997 for
+    100).  Nothing else sets it, so it always matches ``kappa`` and ``xi``.
     """
 
     kappa: float
     xi: float
+    declared_G0: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -160,8 +148,9 @@ class AmplifierParams:
         if G0 < 1.0:
             raise NetworkError("power gain G0 must be >= 1")
         r0 = math.acosh(math.sqrt(G0))
-        xi = kappa * math.tanh(r0 / 2.0)
-        return cls(kappa=kappa, xi=xi)
+        amp = cls(kappa=kappa, xi=kappa * math.tanh(r0 / 2.0))
+        object.__setattr__(amp, "declared_G0", G0)
+        return amp
 
     @property
     def r0(self) -> float:
@@ -169,6 +158,8 @@ class AmplifierParams:
 
     @property
     def G0(self) -> float:
+        if self.declared_G0 is not None:
+            return self.declared_G0
         return math.cosh(self.r0) ** 2
 
 

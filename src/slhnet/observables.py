@@ -22,6 +22,8 @@ from .lindblad import (
 
 log = logging.getLogger(__name__)
 
+MEAN_N_FLOOR = 1e-12  # the propagators' tolerance: a smaller <n> is noise
+
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -42,6 +44,10 @@ class MomentSet:
 
 def moments(rho: np.ndarray) -> MomentSet:
     """Quadrature mean and symmetrized covariance of one mode's matrix."""
+    return MomentSet(*_raw_moments(rho))
+
+
+def _raw_moments(rho: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
     d = rho.shape[0]
     a = annihilation_matrix(d)
     ad = a.conj().T
@@ -52,16 +58,16 @@ def moments(rho: np.ndarray) -> MomentSet:
     xx = float(np.trace(x @ x @ rho).real) - ex * ex
     pp = float(np.trace(p @ p @ rho).real) - ep * ep
     xp = float((0.5 * np.trace((x @ p + p @ x) @ rho)).real) - ex * ep
-    return MomentSet(mean=(ex, ep), cov=np.array([[xx, xp], [xp, pp]]))
+    return (ex, ep), np.array([[xx, xp], [xp, pp]])
 
 
 def fano_factor(rho: np.ndarray) -> float:
-    """Photon-number variance over mean of one mode's matrix; NaN on
-    vanishing mean (undefined)."""
+    """Photon-number variance over mean of one mode's matrix; NaN at a mean
+    of ``MEAN_N_FLOOR`` or below (undefined, or not resolved)."""
     n = np.arange(rho.shape[0], dtype=float)
     pops = np.diag(rho).real
     mean = float(n @ pops)
-    if mean <= 0:
+    if mean <= MEAN_N_FLOOR:
         return math.nan
     var = float((n * n) @ pops) - mean * mean
     return var / mean
@@ -140,11 +146,12 @@ def gaussian_reference(rho: np.ndarray) -> DensityMatrix:
     sigma = 0.5 * (sigma + sigma.conj().T)
     sigma /= np.trace(sigma).real
     out = DensityMatrix(sigma)
-    ms2 = moments(out.mat)
+    # unfloored: a sigma truncation pushes below the floor is judged here
+    mean2, cov2 = _raw_moments(out.mat)
     dev = max(
-        abs(ms2.mean[0] - ms.mean[0]),
-        abs(ms2.mean[1] - ms.mean[1]),
-        float(np.max(np.abs(ms2.cov - ms.cov))),
+        abs(mean2[0] - ms.mean[0]),
+        abs(mean2[1] - ms.mean[1]),
+        float(np.max(np.abs(cov2 - ms.cov))),
     )
     if dev > 1e-6:
         # moments beyond truncation reach cannot be matched; surface it

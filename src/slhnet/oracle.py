@@ -25,6 +25,7 @@ from .lindblad import (
     trace_distance,
 )
 from .network import (
+    AmplifierParams,
     DissipationChannel,
     EffectiveModel,
     FeedbackLoopSpec,
@@ -83,7 +84,6 @@ def full_loop_simulate(
 @dataclass(frozen=True)
 class EliminationErrorRow:
     kappa_over_gamma: float
-    kappa: float
     trace_distance: float
 
 
@@ -103,7 +103,6 @@ def elimination_error(
     kappa_over_gamma: tuple[float, ...] = (10.0, 30.0, 100.0),
     gamma_ref: float = 1.0,
     rho_plant0: DensityMatrix | None = None,
-    probe_time: float | None = None,
     amp_dim: int = AMP_TRUNCATION,
 ) -> EliminationErrorReport:
     """Adiabatic-error sweep at fixed ``r0``.
@@ -111,12 +110,11 @@ def elimination_error(
     For each ratio, the amplifier linewidth is set to
     ``kappa = ratio * gamma_ref`` with the pump rescaled so ``r0`` (hence
     the eliminated model) is unchanged; the full-reduced and eliminated
-    evolutions are compared at ``probe_time`` (default ``3 / gamma_ref``,
-    i.e. three slow relaxation times).  The verdict reports whether the
-    error shrinks monotonically with increasing timescale separation.
+    evolutions are compared at ``probe_time = 3 / gamma_ref``, three slow
+    relaxation times.  The verdict reports whether the error shrinks
+    monotonically with increasing timescale separation.
     """
-    if probe_time is None:
-        probe_time = 3.0 / gamma_ref
+    probe_time = 3.0 / gamma_ref
     if rho_plant0 is None:
         rho_plant0 = DensityMatrix.vacuum(int(np.prod(spec.registry.dims)))
     t_grid = [0.0, probe_time]
@@ -129,20 +127,15 @@ def elimination_error(
     rows = []
     for ratio in kappa_over_gamma:
         kappa = ratio * gamma_ref
-        amp = dataclasses.replace(
-            spec.amp,
-            kappa=kappa,
-            xi=kappa * math.tanh(spec.amp.r0 / 2.0),
-        )
+        amp = AmplifierParams(kappa=kappa,
+                              xi=kappa * math.tanh(spec.amp.r0 / 2.0))
         spec_k = dataclasses.replace(spec, amp=amp)
         rho_full = full_loop_simulate(
             spec_k, rho_plant0, t_grid, amp_dim=amp_dim
         )[-1]
         dist = trace_distance(rho_full.mat, rho_model.mat)
         rows.append(
-            EliminationErrorRow(
-                kappa_over_gamma=ratio, kappa=kappa, trace_distance=dist
-            )
+            EliminationErrorRow(kappa_over_gamma=ratio, trace_distance=dist)
         )
         log.info("kappa/gamma=%g: trace distance %.4g", ratio, dist)
 

@@ -52,7 +52,6 @@ from .network import (
     EffectiveModel,
     FeedbackLoopSpec,
     NetworkError,
-    QuarticCoefficients,
     cross_kerr_coefficient,
     eliminate_amplifier,
     high_gain_limit,
@@ -86,11 +85,6 @@ def _sqrt_rate(x: OperatorExpr, template: OperatorExpr):
     return c.real
 
 
-def _loop_G0(lp: LoopDecl) -> float:
-    """Declared gain when given, else the one the pump parameters realize."""
-    return lp.g0_declared if lp.gain_mode == "G0" else lp.amp.G0
-
-
 def loop_spec(lp: LoopDecl, plant_H: OperatorExpr) -> FeedbackLoopSpec:
     """The feedback loop a netlist loop declares, around ``plant_H``."""
     return FeedbackLoopSpec(
@@ -99,27 +93,7 @@ def loop_spec(lp: LoopDecl, plant_H: OperatorExpr) -> FeedbackLoopSpec:
     )
 
 
-@dataclass(frozen=True)
-class QuarticExtraction:
-    gamma: float
-    G1: float
-    G3: float
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    A1: float
-    A3: float
-    A4: float
-
-    def coefficients(self) -> QuarticCoefficients:
-        return quartic_coefficients(
-            G1=self.G1, G3=self.G3, gamma=self.gamma, gamma1=self.gamma1,
-            gamma2=self.gamma2, gamma3=self.gamma3,
-            A1=self.A1, A3=self.A3, A4=self.A4,
-        )
-
-
-def extract_quartic(net: Netlist) -> QuarticExtraction | str:
+def extract_quartic(net: Netlist) -> dict | str:
     """Classify the loops against the engineered quartic oscillator (Sec. 5).
 
     Every loop couples downstream through x^2 at one rate gamma; the
@@ -130,11 +104,12 @@ def extract_quartic(net: Netlist) -> QuarticExtraction | str:
     The template's signature is one mode, every L proportional to x^2 and
     the a^dag a and x loops among them.  A netlist without it returns the
     first failed check's message, in loop order; one with it returns the
-    extraction, or raises PhysicsValidationError with the first failed
-    check among the others: a downstream rate that differs, a duplicate or
-    an unknown upstream coupling, a direct drive off the position
-    quadrature (phi = -pi/2), or a declared a^dag^2 partner whose G0 and A
-    do not balance the a^dag a loop.
+    keyword arguments of ``quartic_coefficients``, or raises
+    PhysicsValidationError with the first failed check among the others: a
+    downstream rate that differs, a duplicate or an unknown upstream
+    coupling, a direct drive off the position quadrature (phi = -pi/2), or
+    a declared a^dag^2 partner whose G0 and A do not balance the a^dag a
+    loop.
     """
     if len(net.registry) != 1:
         return "quartic synthesis needs a single mode"
@@ -178,7 +153,7 @@ def extract_quartic(net: Netlist) -> QuarticExtraction | str:
         return error or "quartic synthesis needs at least the ad*a and x loops"
     if error:
         raise PhysicsValidationError(error)
-    if net.has_drive and net.drive_A > 0 and (
+    if net.drive_A > 0 and (
         abs(net.drive_phi + math.pi / 2) > 1e-9
     ):
         raise PhysicsValidationError(
@@ -189,20 +164,11 @@ def extract_quartic(net: Netlist) -> QuarticExtraction | str:
     lp3, gamma3 = found["x"]
     # without a partner loop, the matched one at the same upstream rate
     lp2, gamma2 = found.get("ad2", (None, gamma1))
-    q = QuarticExtraction(
-        gamma=gamma,
-        G1=_loop_G0(lp1),
-        G3=_loop_G0(lp3),
-        gamma1=gamma1,
-        gamma2=gamma2,
-        gamma3=gamma3,
-        A1=lp1.A,
-        A3=lp3.A,
-        A4=net.drive_A,
-    )
+    q = dict(gamma=gamma, G1=lp1.amp.G0, G3=lp3.amp.G0, gamma1=gamma1,
+             gamma2=gamma2, gamma3=gamma3, A1=lp1.A, A3=lp3.A, A4=net.drive_A)
     if lp2 is not None:
-        qc = q.coefficients()
-        g2d, a2d = _loop_G0(lp2), lp2.A
+        qc = quartic_coefficients(**q)
+        g2d, a2d = lp2.amp.G0, lp2.A
         if abs(g2d - qc.G2) > 1e-6 * max(qc.G2, 1.0) or (
             abs(a2d - qc.A2) > 1e-6 * max(qc.A2, 1.0)
         ):
@@ -240,7 +206,7 @@ class BuiltModel:
     info: dict
 
 
-def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
+def synthesize_quartic(net: Netlist, q: dict) -> BuiltModel:
     """Engineered-oscillator model from the closed-form coefficients.
 
     The high-gain limit of the multi-loop construction is, by design, the
@@ -248,7 +214,7 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
     from the loop parameters ``q`` that ``extract_quartic`` read off ``net``
     and attaches the declared loss channels.
     """
-    qc = q.coefficients()
+    qc = quartic_coefficients(**q)
     label = net.registry.labels[0]
     x_op = OperatorExpr.position(net.registry, label)
     h = net.plant_H
@@ -264,7 +230,7 @@ def synthesize_quartic(net: Netlist, q: QuarticExtraction) -> BuiltModel:
     )
     info = {
         # the partner loop is checked, not used: recorded as null
-        "extraction": {**dataclasses.asdict(q), "loop2_declared": None},
+        "extraction": {**q, "loop2_declared": None},
         "coefficients": dataclasses.asdict(qc),
     }
     return BuiltModel(model=model, kind="quartic-synthesis", info=info)
@@ -279,7 +245,7 @@ def build_model(net: Netlist) -> BuiltModel:
         q = extract_quartic(net)
         if not isinstance(q, str):
             return synthesize_quartic(net, q)
-    if net.has_drive and net.drive_A != 0:
+    if net.drive_A != 0:
         raise PhysicsValidationError(
             "drive.A / drive.phi describe the direct classical drive line "
             "of the engineered-quartic template; per-loop drives are "
@@ -307,7 +273,7 @@ def build_model(net: Netlist) -> BuiltModel:
         h = h + m.H_eff
         channels.extend(m.channels)
         per_loop.append({"ident": lp.ident, "r0": lp.amp.r0,
-                         "G0": _loop_G0(lp)})
+                         "G0": lp.amp.G0})
     model = EffectiveModel(
         H_eff=h, channels=tuple(channels), registry=net.registry
     )
@@ -434,7 +400,8 @@ def _run_steady(net: Netlist) -> Result:
     nbar = _mean_n(mats[0])
     purity = float(np.trace(rho.mat @ rho.mat).real)
     report, notes = _leak_check(net, [fock_leak(m) for m in mats])
-    results = {"mean_n": nbar, "fano": f, "sub_poissonian": f < 1.0,
+    results = {"mean_n": nbar, "fano": f,
+               "sub_poissonian": 1.0 - f > LEAK_THRESHOLD,
                "delta": delta, "purity": purity}
     columns = ("mean_n", "fano", "delta", "purity")
     rows = [(nbar, f, delta, purity)]
@@ -458,13 +425,15 @@ def _run_g2(net: Netlist) -> Result:
     report, notes = _leak_check(net, [fock_leak(rho.mat)])
     stats = {**stats, "method": "regression+" + stats["method"],
              "steady_state": steady_stats}
+    nbar = _mean_n(rho.mat)
     results = {
         "g2_0": vals[0],
         "g2_max": max(vals),
         "g2_max_tau_us": taus[int(np.argmax(vals))],
         "antibunched": max(vals[1:]) > vals[0] if len(vals) > 1 else False,
-        "sub_poissonian": vals[0] < 1.0,
-        "steady_mean_n": _mean_n(rho.mat),
+        # <n>(1 - g2(0)) is 1 - Fano: the flag and margin of steady's
+        "sub_poissonian": nbar * (1.0 - vals[0]) > LEAK_THRESHOLD,
+        "steady_mean_n": nbar,
         "tau_star_us": tau_star,
     }
     return Result(columns, rows, results, built, stats, report, notes)
@@ -494,7 +463,7 @@ def _run_kerr_coeffs(net: Netlist) -> Result:
                 "and L_f proportional to the number operators of the two "
                 "distinct modes"
             )
-        G0 = _loop_G0(lp)
+        G0 = lp.amp.G0
         chi = cross_kerr_coefficient(G0, cl * cl, cf * cf)
         return Result(_COEFF_COLUMNS, [_freq_row("chi_cross", chi)], {
             "chi_cross_rad_us": chi,
@@ -516,7 +485,7 @@ def _run_kerr_coeffs(net: Netlist) -> Result:
             f"loop {lp.ident!r} (line {lp.line}): kerr-coeffs expects "
             "L and L_f proportional to ad@m * a@m with real coefficients"
         )
-    G0, gamma_a = _loop_G0(lp), cl * cf
+    G0, gamma_a = lp.amp.G0, cl * cf
     omega_a = net.plant_H.coefficient(((1, 1),)).real
     delta, chi = kerr_coefficients(G0, gamma_a, lp.A)
     rows = [
@@ -540,7 +509,7 @@ def _run_quartic_coeffs(net: Netlist) -> Result:
     q = extract_quartic(net)
     if isinstance(q, str):
         raise PhysicsValidationError(q)
-    qc = q.coefficients()
+    qc = quartic_coefficients(**q)
     chis = (qc.chi1, qc.chi2, qc.chi3, qc.chi4)
     rows = [_freq_row(f"chi{k}", c) for k, c in enumerate(chis, start=1)]
     return Result(_COEFF_COLUMNS, rows, {

@@ -148,6 +148,14 @@ bath.loss.a = 1.0 rad_per_us
 run.task = steady
 """
 
+# a driven lossy cavity: a coherent steady state with alpha = -2ic
+COHERENT_STEADY_NET = """
+mode.a = {dim}
+plant.H = {c} rad_per_us * (a@a + ad@a)
+bath.loss.a = 1.0 rad_per_us
+run.task = steady
+"""
+
 # a coherent steady state with |alpha| = 4 cannot fit in 6 Fock levels; g2
 # runs no Gaussian-reference check, so only the leak check sees it
 UNDER_TRUNCATED_NET = """
@@ -343,6 +351,48 @@ class TestArtifacts:
         assert res["fano"] == pytest.approx(
             1.0 + res["mean_n"] * (g["g2_0"] - 1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("dim,c", [(12, 0.5), (10, 0.4)])
+    def test_truncated_coherent_state_meets_the_moment_check(self, tmp_path,
+                                                             capsys, dim, c):
+        """Leaks 1.1e-7 and 3.9e-7 pass the truncation check.  The Gaussian
+        reference of the coherent state then misses the uncertainty floor by
+        rounding; its 1e-6 moment self-check judges it, and passes.  Its 1 -
+        Fano (4.5e-7, 9.4e-7) is inside that resolution: not flagged."""
+        out = run_cli(tmp_path, COHERENT_STEADY_NET.format(dim=dim, c=c))
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["leak_report"]["within_threshold"] is True
+        res = manifest["results"]
+        assert res["mean_n"] == pytest.approx(4.0 * c * c, rel=1e-6)
+        assert 0.0 < 1.0 - res["fano"] < slhnet.lindblad.LEAK_THRESHOLD
+        assert res["sub_poissonian"] is False
+
+    def test_under_truncated_coherent_state_fails_the_moment_check(
+            self, tmp_path, capsys):
+        """At leak 9.9e-6 the moment self-check fails, and says so."""
+        nl = write_net(tmp_path, COHERENT_STEADY_NET.format(dim=10, c=0.5))
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert re.fullmatch(
+            r"physics validation error: gaussian reference self-check "
+            r"failed: moment deviation 9\.\d\de-06 \(truncation 10 too small "
+            r"for these moments\?\)\n", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("dim", [14, 20])
+    def test_coherent_light_is_not_sub_poissonian(self, dim):
+        """Both tasks flag 1 - Fano only above the leak threshold.  At 14
+        levels the truncation leaves Fano - 1 = -4.2e-9; at 20, rounding
+        leaves g2(0) - 1 = -6.7e-16."""
+        text = COHERENT_STEADY_NET.format(dim=dim, c=0.5)
+        assert slhnet.pipeline.run(parse(text)).results[
+            "sub_poissonian"] is False
+        g = slhnet.pipeline.run(parse(text.replace(
+            "run.task = steady",
+            "run.task = g2\nrun.t_max = 1 us\nrun.n_points = 3"))).results
+        assert g["g2_0"] < 1.0
+        assert g["sub_poissonian"] is False
+
     def test_hamiltonian_dominated_g2_reports_chebyshev(self, tmp_path, capsys):
         out = run_cli(tmp_path, KERR_G2_NET)
         capsys.readouterr()
@@ -524,8 +574,9 @@ class TestExitCodes:
         assert "warning" not in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["mean_n"] < 1e-9
-        # the vacuum's Fano is rounding noise (NaN at 121 levels, where
-        # <n> < 0): not sub-Poissonian
+        # the vacuum's <n> is rounding noise (1.2e-20 at 50 levels, < 0 at
+        # 121), so its Fano is undefined: not sub-Poissonian
+        assert math.isnan(manifest["results"]["fano"])
         assert manifest["results"]["sub_poissonian"] is False
         assert manifest["integrator_stats"]["method"] == "sparse-shift-invert"
         assert manifest["leak_report"]["within_threshold"] is True
@@ -689,7 +740,7 @@ class TestOverridesAndSweeps:
             "loop.p.xi = 2.0 rad_per_us\n", "loop.p.G0 = 2.0\n")
         net = parse(KX_NET, {"loop.p.G0": 2.0})
         assert net == parse(written)
-        assert net.loops[0].gain_mode == "G0"
+        assert net.loops[0].amp.declared_G0 == 2.0
         assert net.loops[0].amp.kappa == 1.0
         assert net.loops[0].amp.G0 == pytest.approx(2.0, rel=1e-12)
 

@@ -66,7 +66,8 @@ class TestParsing:
         net = parse("mode.a = 8\nplant.H = 2.0 rad_per_us * ad@a * a@a\n")
         assert net.loops == ()
         assert net.losses == ()
-        assert not net.has_drive
+        assert (net.drive_A, net.drive_phi) == (0.0, 0.0)
+        assert "drive." not in format_netlist(net)
         assert net.run.task is Task.EVOLVE
 
     def test_frequency_unit_conversion(self):
@@ -212,6 +213,29 @@ class TestDiagnostics:
             (1 + line.index("MHz_over_2pi"), "unit suffix 'MHz_over_2pi' on "
              "a pure number (this value takes no unit)")]
 
+    @pytest.mark.parametrize("written,col,message", [
+        ("loop.q.theta = 1 MHz_over_2pi", 18,
+         "unit suffix 'MHz_over_2pi' on a pure number (this value takes no "
+         "unit)"),
+        ("loop.q.G0 = 1 us", 15,
+         "unit suffix 'us' on a pure number (this value takes no unit)"),
+        ("drive.A = -0.5", 11, "expected a non-negative value"),
+    ], ids=["theta", "G0", "drive.A"])
+    def test_rejected_value_is_not_also_missing(self, written, col, message):
+        """A written key whose value is rejected has that one diagnostic:
+        the checks that need the key count it as written, not as missing
+        (no "missing field(s): theta", no "exactly one of (kappa, xi) or
+        G0", no "drive.phi without drive.A")."""
+        key = written.split(" = ")[0]
+        lines = [ln for ln in ("mode.a = 4", "loop.q.L = a@a",
+                               "loop.q.L_f = a@a", "loop.q.theta = 0.3",
+                               "loop.q.G0 = 4.0", "drive.A = 0.5",
+                               "drive.phi = 0.3")
+                 if not ln.startswith(key + " ")] + [written]
+        diags = diagnostics_of("\n".join(lines) + "\n")
+        assert [(d.line, d.col, d.message) for d in diags] == [
+            (len(lines), col, message)]
+
     def test_sqrt_rates_take_a_frequency_suffix(self):
         """Amplitudes and operators are written with rates under sqrt()."""
         net = parse(
@@ -233,7 +257,8 @@ class TestDiagnostics:
         assert diags[0].line == 3
         assert "drive.phi without drive.A" in diags[0].message
         net = parse("mode.a = 4\ndrive.A = 0.5\ndrive.phi = 0.3\n")
-        assert (net.has_drive, net.drive_A, net.drive_phi) == (True, 0.5, 0.3)
+        assert (net.drive_A, net.drive_phi) == (0.5, 0.3)
+        assert "drive.A = 0.5\ndrive.phi = 0.3\n" in format_netlist(net)
 
     def test_fock_level_outside_truncation(self):
         diags = diagnostics_of("mode.a = 4\nrun.initial_state = fock:7\n")

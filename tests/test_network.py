@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -26,7 +27,6 @@ from slhnet.network import (
     high_gain_limit,
     kerr_coefficients,
     quartic_coefficients,
-    self_feedback,
     series_product,
 )
 from slhnet.pipeline import loop_spec
@@ -83,22 +83,6 @@ class TestSeriesProduct:
         assert (comp.L - g.L).max_coeff() < 1e-14
         assert (comp.H - g.H).max_coeff() < 1e-14
 
-    def test_self_feedback_matches_series_with_scatter(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            g = random_triple(rng)
-            fb = self_feedback(g)
-            scatter = SLHTriple(theta=g.theta, L=g.L,
-                                H=OperatorExpr.zero(REG))
-            # the plant Hamiltonian must be counted once across the pass
-            ref = series_product(
-                scatter,
-                SLHTriple(theta=g.theta, L=g.L, H=g.H),
-            )
-            assert abs(fb.theta - ref.theta) < 1e-12
-            assert (fb.L - ref.L).max_coeff() < 1e-12
-            assert (fb.H - ref.H).max_coeff() < 1e-12
-
 
 class TestAmplifierParameters:
     def test_identities_random(self):
@@ -115,6 +99,19 @@ class TestAmplifierParameters:
         for g0 in (1.0, 2.0, 100.0, 1000.0):
             amp = AmplifierParams.from_gain(g0, kappa=3.0)
             assert abs(amp.G0 - g0) < 1e-9 * max(g0, 1.0)
+
+    def test_from_gain_keeps_the_declared_gain(self):
+        """G0 is the gain from_gain was given, not cosh(r0)^2 of the pump
+        that realizes it; only from_gain sets it, and a new pump drops it."""
+        amp = AmplifierParams.from_gain(100.0)
+        assert (amp.G0, amp.declared_G0) == (100.0, 100.0)
+        assert math.cosh(amp.r0) ** 2 == 99.99999999999997
+        assert AmplifierParams(amp.kappa, amp.xi).declared_G0 is None
+        moved = dataclasses.replace(amp, kappa=2.0, xi=2.0 * amp.xi)
+        assert moved.declared_G0 is None
+        assert moved.G0 == math.cosh(amp.r0) ** 2
+        with pytest.raises(TypeError):
+            AmplifierParams(kappa=1.0, xi=0.5, declared_G0=9.0)
 
     def test_overpumped_rejected(self):
         with pytest.raises(NetworkError):

@@ -93,6 +93,14 @@ class TestFanoFactor:
     def test_vacuum_is_undefined(self):
         assert math.isnan(fano_factor(DensityMatrix.vacuum(5).mat))
 
+    def test_unresolved_mean_is_undefined(self):
+        """At <n> <= 1e-12 the variance over the mean is a ratio of rounding
+        errors, not a property of the state."""
+        rho = np.diag([1.0, 0.0, 1e-20, 0.0]).astype(complex)
+        assert math.isnan(fano_factor(rho))  # the ratio would read 2.0
+        rho[2, 2] = 1e-10
+        assert fano_factor(rho) == pytest.approx(2.0, rel=1e-9)
+
     def test_mixtures_of_coherent_states_never_sub_poissonian(self):
         rng = np.random.default_rng(22)
         dim = 30

@@ -182,11 +182,23 @@ class TestEliminationError:
         assert on_c == distances("a")
 
     def test_rows_record_scaled_linewidths(self):
+        """Each row is the full loop at linewidth kappa = ratio * gamma_ref,
+        at the same r0, against the eliminated model at 3 / gamma_ref."""
+        gamma_ref, t_grid, rho0 = 2.0, [0.0, 1.5], DensityMatrix.vacuum(DIM)
         rep = elimination_error(
-            linear_loop(10.0), kappa_over_gamma=(10.0, 30.0), amp_dim=10
+            linear_loop(10.0), kappa_over_gamma=(10.0, 30.0),
+            gamma_ref=gamma_ref, amp_dim=10,
         )
+        assert [r.kappa_over_gamma for r in rep.rows] == [10.0, 30.0]
+        model = integrate(build_liouvillian(eliminate_amplifier(
+            linear_loop(10.0))), rho0, t_grid)[-1]
         for row in rep.rows:
-            assert row.kappa == pytest.approx(row.kappa_over_gamma * 1.0)
+            full = full_loop_simulate(
+                linear_loop(row.kappa_over_gamma * gamma_ref), rho0, t_grid,
+                amp_dim=10,
+            )[-1]
+            assert row.trace_distance == pytest.approx(
+                trace_distance(full.mat, model.mat), rel=1e-6)
 
 
 class TestFixedSqueezingInvariance:
