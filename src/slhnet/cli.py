@@ -21,7 +21,11 @@ directory receives
   (overrides and sweep values set) as canonical netlist text
   (``netlist.format_netlist``), which ``netlist.parse`` reads back to the
   same ``Netlist``; then the truncation-leak report, integrator
-  statistics, results, content hash and timestamp;
+  statistics, results, content hash and timestamp, and ``blas_threads``,
+  the OpenBLAS thread count each bundled copy (numpy's, scipy's) ran
+  with, or null when none was found (``blas.single_thread``).  Like the
+  timestamp, ``blas_threads`` stays outside the content hash: the count
+  changes no recorded value;
 * ``summary.txt``: the effective model pretty-printed with every
   coefficient in both rad/us and MHz (frequency nu = omega / 2 pi)
   plus headline results, and a warning line when the truncation check
@@ -96,7 +100,7 @@ def _fmt_cell(v) -> str:
 
 def _content_hash(manifest: dict) -> str:
     scrubbed = {k: v for k, v in manifest.items()
-                if k not in ("timestamp", "content_hash")}
+                if k not in ("timestamp", "blas_threads", "content_hash")}
     blob = json.dumps(scrubbed, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -172,6 +176,7 @@ def run_netlist(net: Netlist, outdir: Path, fmt: str = "csv",
     if res.leak_report is not None:
         manifest["leak_report"] = res.leak_report
     manifest["results"] = res.results
+    manifest["blas_threads"] = res.blas_threads
     for note in res.notes:
         print(note, file=sys.stderr)
 

@@ -81,7 +81,8 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
     Liouvillian ``liou``, and probed with the number operator; g2(0) =
     <ad ad a a>/<ad a>^2 emerges at the first grid point.  ``dims`` are the
     model's mode truncations (one mode only).  ``stats`` is passed on to
-    ``integrate``.
+    ``integrate``.  A mean <n> of ``MEAN_N_FLOOR`` or below is rejected:
+    the renormalized seed would be rounding noise.
     """
     d = liou.dim
     if rho_ss.dim != d:
@@ -91,7 +92,7 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
     a = annihilation_matrix(d)
     nmat = a.conj().T @ a
     nbar = float(np.trace(nmat @ rho_ss.mat).real)
-    if nbar <= 0:
+    if nbar <= MEAN_N_FLOOR:
         raise PhysicsValidationError("g2 undefined at zero mean photon number")
     seed = a @ rho_ss.mat @ a.conj().T
     seed = 0.5 * (seed + seed.conj().T)

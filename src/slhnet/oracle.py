@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .lindblad import (
     DensityMatrix,
     NumericalFailure,
@@ -45,12 +46,13 @@ def full_loop_simulate(
     rho_plant0: DensityMatrix,
     t_grid,
     amp_dim: int = AMP_TRUNCATION,
+    stats: dict | None = None,
 ) -> list[DensityMatrix]:
     """Evolve the plant (+ amplifier in vacuum) under the full composite.
 
     Returns the plant-reduced states along ``t_grid``; a reduced state whose
     trace drifts by more than 1e-9 or whose Hermiticity is lost beyond 1e-10
-    raises NumericalFailure.
+    raises NumericalFailure.  ``stats`` is passed on to ``integrate``.
     """
     composite = compose_loop_full(spec, amp_dim)
     big = composite.registry
@@ -63,7 +65,7 @@ def full_loop_simulate(
 
     amp_vac = DensityMatrix.vacuum(amp_dim)
     joint0 = DensityMatrix(np.kron(rho_plant0.mat, amp_vac.mat))
-    joint = integrate(liou, joint0, t_grid)
+    joint = integrate(liou, joint0, t_grid, stats=stats)
 
     dims = big.dims
     plant_axes = tuple(range(len(dims) - 1))
@@ -85,6 +87,7 @@ def full_loop_simulate(
 class EliminationErrorRow:
     kappa_over_gamma: float
     trace_distance: float
+    integrator_stats: dict  # the full loop's, from ``integrate``
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,7 @@ class EliminationErrorReport:
     rows: tuple[EliminationErrorRow, ...]
     probe_time: float
     verdict: str  # "monotone", "non-monotone", or "insufficient"
+    eliminated_stats: dict  # the eliminated model's, from ``integrate``
 
     @property
     def distances(self) -> tuple[float, ...]:
@@ -112,32 +116,34 @@ def elimination_error(
     the eliminated model) is unchanged; the full-reduced and eliminated
     evolutions are compared at ``probe_time = 3 / gamma_ref``, three slow
     relaxation times.  The verdict reports whether the error shrinks
-    monotonically with increasing timescale separation.
+    monotonically with increasing timescale separation.  The sweep runs on
+    one OpenBLAS thread (``blas.single_thread``).
     """
     probe_time = 3.0 / gamma_ref
     if rho_plant0 is None:
         rho_plant0 = DensityMatrix.vacuum(int(np.prod(spec.registry.dims)))
     t_grid = [0.0, probe_time]
 
-    eliminated = eliminate_amplifier(spec)
-    liou_red = build_liouvillian(eliminated)
-    red_states = integrate(liou_red, rho_plant0, t_grid)
-    rho_model = red_states[-1]
-
+    eliminated_stats: dict = {}
     rows = []
-    for ratio in kappa_over_gamma:
-        kappa = ratio * gamma_ref
-        amp = AmplifierParams(kappa=kappa,
-                              xi=kappa * math.tanh(spec.amp.r0 / 2.0))
-        spec_k = dataclasses.replace(spec, amp=amp)
-        rho_full = full_loop_simulate(
-            spec_k, rho_plant0, t_grid, amp_dim=amp_dim
-        )[-1]
-        dist = trace_distance(rho_full.mat, rho_model.mat)
-        rows.append(
-            EliminationErrorRow(kappa_over_gamma=ratio, trace_distance=dist)
-        )
-        log.info("kappa/gamma=%g: trace distance %.4g", ratio, dist)
+    with blas.single_thread():
+        liou_red = build_liouvillian(eliminate_amplifier(spec))
+        rho_model = integrate(liou_red, rho_plant0, t_grid,
+                              stats=eliminated_stats)[-1]
+        for ratio in kappa_over_gamma:
+            kappa = ratio * gamma_ref
+            amp = AmplifierParams(kappa=kappa,
+                                  xi=kappa * math.tanh(spec.amp.r0 / 2.0))
+            spec_k = dataclasses.replace(spec, amp=amp)
+            stats: dict = {}
+            rho_full = full_loop_simulate(
+                spec_k, rho_plant0, t_grid, amp_dim=amp_dim, stats=stats
+            )[-1]
+            dist = trace_distance(rho_full.mat, rho_model.mat)
+            rows.append(EliminationErrorRow(kappa_over_gamma=ratio,
+                                            trace_distance=dist,
+                                            integrator_stats=stats))
+            log.info("kappa/gamma=%g: trace distance %.4g", ratio, dist)
 
     if len(rows) < 2:
         verdict = "insufficient"
@@ -148,5 +154,6 @@ def elimination_error(
     else:
         verdict = "non-monotone"
     return EliminationErrorReport(
-        rows=tuple(rows), probe_time=probe_time, verdict=verdict
+        rows=tuple(rows), probe_time=probe_time, verdict=verdict,
+        eliminated_stats=eliminated_stats,
     )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .algebra import OperatorExpr
 from .lindblad import (
     LEAK_THRESHOLD,
@@ -304,7 +305,8 @@ def _initial_state(net: Netlist) -> DensityMatrix:
 class Result:
     """What one run produced: the task's table, its headline ``results``,
     and, for the model tasks, the built model, the solver statistics, the
-    truncation check and the warnings of failed adequacy checks."""
+    truncation check and the warnings of failed adequacy checks; and the
+    OpenBLAS thread count of each bundled copy (None when none is found)."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
@@ -313,6 +315,7 @@ class Result:
     integrator_stats: dict | None = None
     leak_report: dict | None = None
     notes: tuple[str, ...] = ()
+    blas_threads: dict | None = None
 
 
 def _mode_matrices(st: DensityMatrix, dims) -> list[np.ndarray]:
@@ -540,11 +543,16 @@ def _run_oracle_sweep(net: Netlist) -> Result:
         rho_plant0=_initial_state(net),
     )
     rows = [(r.kappa_over_gamma, r.trace_distance) for r in report.rows]
+    stats = {
+        "eliminated": report.eliminated_stats,
+        "full_loop": [{"kappa_over_gamma": r.kappa_over_gamma,
+                       **r.integrator_stats} for r in report.rows],
+    }
     return Result(("kappa_over_gamma", "trace_distance"), rows, {
         "verdict": report.verdict,
         "probe_time_us": report.probe_time,
         "distances": list(report.distances),
-    })
+    }, integrator_stats=stats)
 
 
 _TASKS = {
@@ -560,5 +568,9 @@ _TASKS = {
 
 
 def run(net: Netlist) -> Result:
-    """Build the netlist's model when its task needs one and run the task."""
-    return _TASKS[net.run.task](net)
+    """Build the netlist's model when its task needs one and run the task,
+    on one OpenBLAS thread (``blas.single_thread``); ``blas_threads`` is
+    the count each bundled copy ran with."""
+    with blas.single_thread() as threads:
+        res = _TASKS[net.run.task](net)
+    return dataclasses.replace(res, blas_threads=threads)

@@ -226,7 +226,7 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert head == f"# manifest_hash={manifest['content_hash']}"
         scrubbed = {k: v for k, v in manifest.items()
-                    if k not in ("timestamp", "content_hash")}
+                    if k not in ("timestamp", "blas_threads", "content_hash")}
         blob = json.dumps(scrubbed, sort_keys=True, default=str)
         assert manifest["content_hash"] == hashlib.sha256(
             blob.encode()
@@ -581,6 +581,18 @@ class TestExitCodes:
         assert manifest["integrator_stats"]["method"] == "sparse-shift-invert"
         assert manifest["leak_report"]["within_threshold"] is True
         assert "warning" not in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("dim", [50, 121])
+    def test_g2_of_the_vacuum_is_undefined(self, tmp_path, capsys, dim):
+        """The lossy cavity's vacuum has a rounding-noise <n> (1.2e-20 at 50
+        levels, < 0 at 121): g2 has no seed to renormalize."""
+        nl = write_net(tmp_path, LOSSY_STEADY_NET.format(dim=dim).replace(
+            "run.task = steady", "run.task = g2"))
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert ("g2 undefined at zero mean photon number"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_failed_truncation_check_is_reported(self, tmp_path, capsys):
         """A failed leak check keeps exit 0 and the manifest, and says so on

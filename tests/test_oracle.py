@@ -3,6 +3,7 @@ eliminated single-mode model, plus the error-sweep harness around them."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -88,6 +89,15 @@ class TestFullLoopSimulate:
             assert abs(n_full - n_red) <= 0.05 * max(n_red, 1e-12)
 
 
+# a one-loop oracle sweep small enough for the CLI (amplifier truncation 20)
+ORACLE_NET = (
+    "mode.a = 3\nloop.fb.theta = 0.3\n"
+    "loop.fb.L = sqrt(1.0 rad_per_us) * a@a\n"
+    "loop.fb.L_f = 0.5 * sqrt(0.5 rad_per_us) * (a@a + ad@a)\n"
+    "loop.fb.G0 = 2.0\nrun.task = oracle-sweep\n"
+)
+
+
 def distort_reduced_states(monkeypatch, distort) -> None:
     """Apply ``distort`` to every plant-reduced state of the oracle."""
     exact = slhnet.oracle.partial_trace
@@ -127,15 +137,35 @@ class TestReducedStateChecks:
                                              monkeypatch):
         distort_reduced_states(monkeypatch, lambda red: 1.01 * red)
         nl = tmp_path / "in.net"
-        nl.write_text(
-            "mode.a = 3\nloop.fb.theta = 0.3\n"
-            "loop.fb.L = sqrt(1.0 rad_per_us) * a@a\n"
-            "loop.fb.L_f = 0.5 * sqrt(0.5 rad_per_us) * (a@a + ad@a)\n"
-            "loop.fb.G0 = 2.0\nrun.task = oracle-sweep\n")
+        nl.write_text(ORACLE_NET)
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 4
         assert ("numerical failure: reduced state trace drift 1.00e-02"
                 in capsys.readouterr().err)
+
+    def test_oracle_sweep_records_its_work(self, tmp_path, capsys):
+        """The manifest lists the eliminated model's integration and, per
+        ratio, the full loop's: method, products, steps, propagated
+        coordinates and error estimate."""
+        nl = tmp_path / "in.net"
+        nl.write_text(ORACLE_NET)
+        assert main(["--netlist", str(nl), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        stats = manifest["integrator_stats"]
+        fields = {"method", "rhs_evaluations", "steps", "propagated_dim",
+                  "error_estimate"}
+        assert [r["kappa_over_gamma"] for r in stats["full_loop"]] == [
+            10.0, 30.0, 100.0]
+        for rec in [stats["eliminated"], *stats["full_loop"]]:
+            assert fields <= set(rec)
+            assert rec["method"] == "krylov"
+            assert rec["rhs_evaluations"] > 0 and rec["steps"] > 0
+            assert 0 <= rec["error_estimate"] <= rec["tolerance"]
+        assert stats["eliminated"]["propagated_dim"] <= 3 * 3
+        # plant 3 x amplifier 20: the composite has at most 60^2 coordinates
+        assert all(0 < r["propagated_dim"] <= 60 * 60
+                   for r in stats["full_loop"])
 
 
 class TestEliminationError:
@@ -190,15 +220,19 @@ class TestEliminationError:
             gamma_ref=gamma_ref, amp_dim=10,
         )
         assert [r.kappa_over_gamma for r in rep.rows] == [10.0, 30.0]
+        model_stats = {}
         model = integrate(build_liouvillian(eliminate_amplifier(
-            linear_loop(10.0))), rho0, t_grid)[-1]
+            linear_loop(10.0))), rho0, t_grid, stats=model_stats)[-1]
+        assert rep.eliminated_stats == model_stats
         for row in rep.rows:
+            full_stats = {}
             full = full_loop_simulate(
                 linear_loop(row.kappa_over_gamma * gamma_ref), rho0, t_grid,
-                amp_dim=10,
+                amp_dim=10, stats=full_stats,
             )[-1]
             assert row.trace_distance == pytest.approx(
                 trace_distance(full.mat, model.mat), rel=1e-6)
+            assert row.integrator_stats == full_stats
 
 
 class TestFixedSqueezingInvariance:
