@@ -4,11 +4,9 @@ Lindblad dynamics, and nonclassicality observables."""
 from .algebra import (
     ModeRegistry,
     OperatorExpr,
-    add,
     adjoint,
     commutator,
     is_hermitian,
-    multiply,
 )
 from .network import (
     AmplifierParams,
@@ -30,11 +28,9 @@ from .network import (
 __all__ = [
     "ModeRegistry",
     "OperatorExpr",
-    "add",
     "adjoint",
     "commutator",
     "is_hermitian",
-    "multiply",
     "AmplifierParams",
     "DissipationChannel",
     "EffectiveModel",

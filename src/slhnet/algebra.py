@@ -233,14 +233,6 @@ def _normal_order_product(m1: Monomial, m2: Monomial):
 
 
 # -- module-level operation names ------------------------------------------
-def add(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
-    return x + y
-
-
-def multiply(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
-    return x * y
-
-
 def adjoint(x: OperatorExpr) -> OperatorExpr:
     return x.adjoint()
 

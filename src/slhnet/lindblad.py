@@ -62,7 +62,8 @@ LOG_ROUNDING_BUDGET = math.log(
 # a product R v_j whose part orthogonal to the basis is below BREAKDOWN_TOL
 # of its norm, i.e. rounding, ends the basis as invariant under R.  A larger
 # basis admits longer steps but costs more Gram-Schmidt per vector; at
-# n = 9216, 36 and 40 were the fastest of {30, 36, 40, 45, 50} (ROADMAP item 3)
+# n = 9216, 36 and 40 were the fastest of {30, 36, 40, 45, 50} (CHANGES.md,
+# "Longest Krylov steps on a basis of 40")
 KRYLOV_BASIS = 40
 KRYLOV_TOL = 1e-12
 BREAKDOWN_TOL = 1e-12
@@ -195,15 +196,24 @@ def from_coords(x: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (m + m.T) + 0.5j * (m - m.T)
 
 
+def _superoperator(K: np.ndarray, jumps) -> sparse.csr_matrix:
+    """S = K (x) 1 + 1 (x) conj(K) + sum C (x) conj(C), so that
+    S @ vec(rho) = vec(L rho) for row-major vec."""
+    eye = sparse.identity(K.shape[0], dtype=complex, format="csr")
+    Ks = sparse.csr_matrix(K)
+    S = (sparse.kron(Ks, eye, format="csr")
+         + sparse.kron(eye, Ks.conj(), format="csr"))
+    for C in jumps:
+        Cs = sparse.csr_matrix(C)
+        S = S + sparse.kron(Cs, Cs.conj(), format="csr")
+    return S
+
+
 def _real_generator(K: np.ndarray, jumps) -> sparse.csr_matrix:
-    """R = Re S + (Im S) P for S = K (x) 1 + 1 (x) conj(K) + sum C (x) conj(C),
-    with P the vec-transpose permutation, from real Kronecker products:
-
-        R = A + B P,  A = Kr (x) 1 + 1 (x) Kr + sum_C [Cr (x) Cr + Ci (x) Ci],
-                      B = Ki (x) 1 - 1 (x) Ki + sum_C [Ci (x) Cr - Cr (x) Ci].
-
-    Since (X (x) Y) P = P (Y (x) X), B P = -P B: a row permutation, which
-    keeps every row's column indices sorted.
+    """R = Re S + (Im S) P for S = ``_superoperator(K, jumps)``, with P the
+    vec-transpose permutation.  Right-multiplying by P relabels column
+    (i, j) as (j, i); P is an involution, so (Im S) P keeps S's rows and
+    takes its column indices through P.
 
     Entries of at most PRUNE_TOL max|R| are dropped.  They are rounding
     residue: parts of K that cancel to rounding (1e-17 against O(1)
@@ -212,27 +222,15 @@ def _real_generator(K: np.ndarray, jumps) -> sparse.csr_matrix:
     changes R by no more than rounding its entries does.
     """
     d = K.shape[0]
-    eye = sparse.identity(d, format="csr")
-
-    def kron(X, Y):
-        return sparse.kron(X, Y, format="csr")
-
-    def split(X):
-        return sparse.csr_matrix(X.real), sparse.csr_matrix(X.imag)
-
-    Kr, Ki = split(K)
-    Cs = [split(C) for C in jumps]
-    # P B first, so that B is freed before A is built
-    B = kron(Ki, eye) - kron(eye, Ki)
-    for Cr, Ci in Cs:
-        B = B + kron(Ci, Cr) - kron(Cr, Ci)
-    PB = B[np.arange(d * d).reshape(d, d).T.ravel()]
-    del B
-    A = kron(Kr, eye) + kron(eye, Kr)
-    for Cr, Ci in Cs:
-        A = A + kron(Cr, Cr) + kron(Ci, Ci)
-    R = A - PB
-    del A, PB  # before the pruning's temporaries, which would raise the peak
+    S = _superoperator(K, jumps)
+    re, im = S.data.real.copy(), S.data.imag.copy()
+    indices, indptr = S.indices, S.indptr
+    del S  # before the sum, whose operands and result would raise the peak
+    n = d * d
+    P = np.arange(n, dtype=indices.dtype).reshape(d, d).T.ravel()
+    R = (sparse.csr_matrix((re, indices, indptr), shape=(n, n))
+         + sparse.csr_matrix((im, P[indices], indptr), shape=(n, n)))
+    del re, im, indices, indptr  # before the pruning's temporaries
     if R.nnz:
         size = np.abs(R.data)
         R.data[size <= PRUNE_TOL * size.max()] = 0.0
@@ -251,9 +249,9 @@ class Liouvillian:
     ``R`` is L on the real coordinates of the module docstring: the real
     sparse d^2 x d^2 matrix with to_coords(L rho) = R @ to_coords(rho),
     assembled once (``_real_generator``).  ``apply`` is R @ x, the one
-    product with R that ``integrate`` makes, whichever propagator runs.  The
-    complex superoperator S on vec(rho) stays available as a reference
-    (``superoperator``, ``as_dense``).
+    product with R that ``integrate`` makes, whichever propagator runs.  R
+    is the real form of the complex superoperator S on vec(rho)
+    (``superoperator``, ``as_dense``), and is read off it.
     """
 
     Hmat: np.ndarray
@@ -310,15 +308,9 @@ class Liouvillian:
         }
 
     def superoperator(self) -> sparse.csr_matrix:
-        """S = K (x) 1 + 1 (x) conj(K) + sum C (x) conj(C), so that
-        S @ vec(rho) = vec(apply(rho)) for row-major vec."""
-        eye = sparse.identity(self.dim, dtype=complex, format="coo")
-        K = sparse.coo_matrix(self.K)
-        S = sparse.kron(K, eye) + sparse.kron(eye, K.conj())
-        for C in self.jumps:
-            Cs = sparse.coo_matrix(C)
-            S = S + sparse.kron(Cs, Cs.conj())
-        return sparse.csr_matrix(S, dtype=complex)
+        """The complex S with S @ vec(rho) = vec(L rho) for row-major vec
+        (``_superoperator``), rebuilt on each call."""
+        return _superoperator(self.K, self.jumps)
 
     def as_dense(self) -> np.ndarray:
         if self._dense is None:

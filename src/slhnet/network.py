@@ -83,10 +83,6 @@ class SLHTriple:
     def registry(self) -> ModeRegistry:
         return self.L.registry
 
-    @property
-    def scattering(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
 
 def series_product(g1: SLHTriple, g2: SLHTriple) -> SLHTriple:
     """Feed the output of ``g1`` into the input of ``g2``.

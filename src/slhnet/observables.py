@@ -79,10 +79,12 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
 
     The seed a rho_ss ad is renormalized, evolved under the model's
     Liouvillian ``liou``, and probed with the number operator; g2(0) =
-    <ad ad a a>/<ad a>^2 emerges at the first grid point.  ``dims`` are the
-    model's mode truncations (one mode only).  ``stats`` is passed on to
-    ``integrate``.  A mean <n> of ``MEAN_N_FLOOR`` or below is rejected:
-    the renormalized seed would be rounding noise.
+    <ad ad a a>/<ad a>^2 emerges at the first grid point.  ``tau_grid``
+    starts at 0 and increases strictly, as ``integrate`` requires; another
+    grid raises ValueError.  ``dims`` are the model's mode truncations (one
+    mode only).  ``stats`` is passed on to ``integrate``.  A mean <n> of
+    ``MEAN_N_FLOOR`` or below is rejected: the renormalized seed would be
+    rounding noise.
     """
     d = liou.dim
     if rho_ss.dim != d:
@@ -98,12 +100,7 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
     seed = 0.5 * (seed + seed.conj().T)
     seed_tr = float(np.trace(seed).real)  # equals nbar
     sigma0 = DensityMatrix(seed / seed_tr)
-    taus = list(tau_grid)
-    prepend = taus[0] != 0.0
-    states = integrate(liou, sigma0, ([0.0] + taus) if prepend else taus,
-                       stats=stats)
-    if prepend:
-        states = states[1:]
+    states = integrate(liou, sigma0, tau_grid, stats=stats)
     out = []
     for st in states:
         val = float(np.trace(nmat @ st.mat).real) * seed_tr / (nbar * nbar)

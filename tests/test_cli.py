@@ -255,6 +255,19 @@ class TestArtifacts:
         assert payload["columns"] == ["t_us", "mean_n", "fano", "delta"]
         assert all(row[2] is None for row in payload["rows"])
 
+    def test_fock_initial_state(self, tmp_path, capsys):
+        """fock:n starts in |n><n|: <n> = n and Fano = 0 at t = 0, and the
+        record names the state, so replaying it runs the same netlist."""
+        text = EVOLVE_NET.replace("coherent:0.5", "fock:3").replace(
+            "run.task = evolve", "run.task = fano")
+        out = run_cli(tmp_path, text, "--format", "json")
+        capsys.readouterr()
+        payload = json.loads((out / "fano.json").read_text())
+        assert payload["columns"] == ["t_us", "fano", "mean_n"]
+        assert payload["rows"][0] == [0.0, 0.0, 3.0]
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        assert "run.initial_state = fock:3" in resolved.splitlines()
+
     def test_steady_task_outputs(self, tmp_path, capsys):
         out = run_cli(tmp_path, PUMPED_NET)
         capsys.readouterr()

@@ -929,6 +929,17 @@ class TestDiagnostics:
             partial_trace(joint, (3, 4), (1,)), rho_b, 1e-12, "keep second"
         )
 
+    def test_small_negative_eigenvalue_is_clipped(self, caplog):
+        """An eigenvalue between ABORT_FLOOR and CLIP_FLOOR is projected
+        away: the state comes back PSD with trace 1."""
+        rho = np.diag([1.0 + 5e-8, -5e-8]).astype(complex)
+        with caplog.at_level("INFO", logger="slhnet.lindblad"):
+            st = lindblad._validate_evolved(rho, "t=1")
+        assert "clipped eigenvalue floor" in caplog.text
+        assert np.linalg.eigvalsh(st.mat)[0] >= 0.0
+        assert np.trace(st.mat).real == pytest.approx(1.0, abs=1e-15)
+        assert_close_matrices(st.mat, np.diag([1.0, 0.0]), 1e-15, "clipped")
+
     def test_dense_representation_guard(self):
         dim = 130
         liou = Liouvillian(zero_hamiltonian(dim))

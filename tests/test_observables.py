@@ -139,6 +139,14 @@ class TestG2:
             g2(build_liouvillian(model), DensityMatrix.vacuum(10),
                [0.0, 0.5], reg.dims)
 
+    def test_delay_grid_must_start_at_zero(self):
+        """g2(0) is read at the grid's first point, so a grid that starts
+        later is rejected, as ``integrate`` rejects it."""
+        model, reg = driven_cavity(10, eps=0.0, gamma=1.0)
+        with pytest.raises(ValueError, match="start at 0"):
+            g2(build_liouvillian(model), DensityMatrix.fock(10, 1),
+               [0.5, 1.0], reg.dims)
+
     def test_thermal_bunching_at_zero_delay(self):
         """g2(0) = <ad ad a a>/<n>^2 = 2 for thermal light."""
         dim = 30

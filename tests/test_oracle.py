@@ -185,6 +185,14 @@ class TestEliminationError:
         assert rep.verdict == "insufficient"
         assert len(rep.rows) == 1
 
+    def test_error_growing_along_the_sweep_is_non_monotone(self):
+        """Ratios in falling order: the distance grows from row to row."""
+        rep = elimination_error(
+            linear_loop(10.0), kappa_over_gamma=(30.0, 10.0), amp_dim=10
+        )
+        assert rep.distances[1] > rep.distances[0]
+        assert rep.verdict == "non-monotone"
+
     def test_sweep_is_deterministic(self):
         kwargs = dict(kappa_over_gamma=(10.0, 30.0), amp_dim=10)
         r1 = elimination_error(linear_loop(10.0), **kwargs)
