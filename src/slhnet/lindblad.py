@@ -38,7 +38,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.linalg.blas import daxpy
 from scipy.sparse import linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .algebra import ModeRegistry, OperatorExpr
 
@@ -239,6 +241,11 @@ def _real_generator(K: np.ndarray, jumps) -> sparse.csr_matrix:
     return R
 
 
+def _is_coords(v, n: int) -> bool:
+    """Whether v is a 1-D float64 array of length n."""
+    return isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == (n,)
+
+
 @dataclass
 class Liouvillian:
     """Master-equation generator in jump form: with jump operators C (rates
@@ -248,10 +255,11 @@ class Liouvillian:
 
     ``R`` is L on the real coordinates of the module docstring: the real
     sparse d^2 x d^2 matrix with to_coords(L rho) = R @ to_coords(rho),
-    assembled once (``_real_generator``).  ``apply`` is R @ x, the one
-    product with R that ``integrate`` makes, whichever propagator runs.  R
-    is the real form of the complex superoperator S on vec(rho)
-    (``superoperator``, ``as_dense``), and is read off it.
+    assembled once (``_real_generator``).  ``apply`` is R @ x, fresh or
+    added into a buffer: the one product with R that ``integrate`` makes,
+    whichever propagator runs.  R is the real form of the complex
+    superoperator S on vec(rho) (``superoperator``, ``as_dense``), and is
+    read off it.
     """
 
     Hmat: np.ndarray
@@ -268,9 +276,31 @@ class Liouvillian:
             self.K -= 0.5 * (C.conj().T @ C)
         self.R = _real_generator(self.K, self.jumps)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """L on real coordinates: to_coords(L rho) for x = to_coords(rho)."""
-        return self.R @ x
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L on real coordinates: to_coords(L rho) for x = to_coords(rho).
+
+        With ``out``, R @ x is added into ``out`` in place and ``out`` is
+        returned; without, a fresh R @ x is returned.  Both call scipy's CSR
+        kernel ``csr_matvec``, the routine that ``R @ x`` itself runs, so
+        apply(x) is bit-identical to R @ x.  The kernel is called directly
+        because the public product takes no output buffer, and its dispatch
+        adds a third of the kernel's time on a d = 30 quartic generator
+        (R @ x 12.2 us, the kernel 9.0 us; 2 vCPUs, numpy 2.4, scipy 1.17).
+        The kernel writes through raw pointers, so an x or out that is not a
+        1-D float64 array of R's length, or an out that is not C-contiguous,
+        raises ValueError.
+        """
+        R = self.R
+        n = R.shape[0]
+        if not _is_coords(x, n):
+            raise ValueError(f"x must be a 1-D float64 array of length {n}")
+        if out is None:
+            out = np.zeros(n)
+        elif not (_is_coords(out, n) and out.flags.c_contiguous):
+            raise ValueError(
+                f"out must be a C-contiguous 1-D float64 array of length {n}")
+        csr_matvec(n, n, R.indptr, R.indices, R.data, x, out)
+        return out
 
     def restricted(self, keep: np.ndarray) -> "Liouvillian":
         """This generator on the coordinates ``keep`` (sorted indices) alone:
@@ -556,22 +586,36 @@ def _chebyshev(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
     |T_k| <= rho^k, so by Crouzeix-Palencia (SIAM J. Matrix Anal. Appl. 38,
     649 (2017)) dropping the terms k >= K costs at most
     (1 + sqrt 2) sum_{k>=K} 2 |J_k(l)| rho^k (``_degree``).
+
+    The recurrence runs in place on a copy of ``liou`` whose R is (2/c) R
+    (``liou`` itself is not touched): phi_{k+1} = apply(phi_k, out=phi_{k-1})
+    overwrites phi_{k-1}, and the sum accumulates by daxpy, so a product
+    allocates nothing (``_chebyshev_step``).
+
+    Grid spacings that differ by rounding share one plan: the current plan,
+    made for ell_plan, is reused while |ell - ell_plan| <= 4 eps c T,
+    T = t_grid[-1], the rule ``_krylov`` applies to its advance exponential.
+    A step then advances by ell_plan / c, which is at most 4 eps T from the
+    length of its interval.
     """
     c = spread + delta
-    eps = delta / c
-    log_rho = math.acosh((eps + math.sqrt(4.0 + eps * eps)) / 2.0)
+    ratio = delta / c
+    log_rho = math.acosh((ratio + math.sqrt(4.0 + ratio * ratio)) / 2.0)
+    scaled = copy.copy(liou)
+    scaled.R = liou.R * (2.0 / c)
+    same_plan = 4.0 * float(np.finfo(float).eps) * c * t_grid[-1]
     x = x0
     xs = [x]
     products = substeps = degree = 0
     bound = 0.0
-    plans: dict = {}  # grid spacings repeat, up to rounding
+    plan_ell = None
     for t0, t1 in zip(t_grid, t_grid[1:]):
         ell = c * (t1 - t0)
-        if ell not in plans:
-            plans[ell] = _chebyshev_plan(ell, log_rho)
-        m, coef, err = plans[ell]
+        if plan_ell is None or abs(ell - plan_ell) > same_plan:
+            plan_ell = ell
+            m, coef, err = _chebyshev_plan(ell, log_rho)
         for _ in range(m):
-            x = _chebyshev_step(liou, x, coef, c)
+            x = _chebyshev_step(scaled, x, coef)
         xs.append(x)
         products += m * (len(coef) - 1)
         substeps += m
@@ -582,15 +626,19 @@ def _chebyshev(liou, x0, t_grid, spread, delta) -> tuple[list, dict]:
                     tolerance=CHEBYSHEV_TOL, truncation_bound=bound)
 
 
-def _chebyshev_step(liou, x, coef, c) -> np.ndarray:
-    """sum_k coef[k] phi_k with phi_0 = x: len(coef) - 1 products with R."""
+def _chebyshev_step(scaled, x, coef) -> np.ndarray:
+    """sum_k coef[k] phi_k with phi_0 = x, for ``scaled`` whose R is (2/c) R:
+    len(coef) - 1 products, each added in place into the buffer of
+    phi_{k-1}.  x is not overwritten."""
     y = coef[0] * x
     if len(coef) > 1:
-        prev, cur = x, liou.apply(x) / c
-        y += coef[1] * cur
+        cur = scaled.apply(x)
+        cur *= 0.5  # phi_1 = R x / c
+        prev = x.copy()
+        y = daxpy(cur, y, a=coef[1])
         for ck in coef[2:]:
-            prev, cur = cur, (2.0 / c) * liou.apply(cur) + prev
-            y += ck * cur
+            prev, cur = cur, scaled.apply(cur, out=prev)
+            y = daxpy(cur, y, a=ck)
     return y
 
 

@@ -48,16 +48,20 @@ def moments(rho: np.ndarray) -> MomentSet:
 
 
 def _raw_moments(rho: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
-    d = rho.shape[0]
-    a = annihilation_matrix(d)
-    ad = a.conj().T
-    x = (a + ad) / math.sqrt(2)
-    p = 1j * (ad - a) / math.sqrt(2)
-    ex = float(np.trace(x @ rho).real)
-    ep = float(np.trace(p @ rho).real)
-    xx = float(np.trace(x @ x @ rho).real) - ex * ex
-    pp = float(np.trace(p @ p @ rho).real) - ep * ep
-    xp = float((0.5 * np.trace((x @ p + p @ x) @ rho)).real) - ex * ep
+    """Quadrature mean and covariance from <a>, <a^2>, <ad a> and <a ad>,
+    read off rho's diagonals in O(d).  <a ad> is that of the truncated
+    matrices, diag(1, ..., d-1, 0), which x @ x and p @ p contain."""
+    n = np.arange(rho.shape[0], dtype=float)
+    pops = np.diagonal(rho).real
+    a1 = complex(np.sqrt(n[1:]) @ np.diagonal(rho, -1))
+    a2 = complex(np.sqrt(n[1:-1] * n[2:]) @ np.diagonal(rho, -2))
+    nn = float(n @ pops)
+    aad = float(n[1:] @ pops[:-1])
+    ex = math.sqrt(2) * a1.real
+    ep = math.sqrt(2) * a1.imag
+    xx = 0.5 * (nn + aad) + a2.real - ex * ex
+    pp = 0.5 * (nn + aad) - a2.real - ep * ep
+    xp = a2.imag - ex * ep
     return (ex, ep), np.array([[xx, xp], [xp, pp]])
 
 
@@ -165,8 +169,9 @@ def non_gaussianity(rho: np.ndarray) -> float:
     mode's matrix, in [0,1]."""
     sigma = gaussian_reference(rho).mat
     diff = rho - sigma
-    num = 0.5 * float(np.trace(diff @ diff).real)
-    den = float(np.trace(rho @ rho).real)
+    # tr(AB) = vdot(A, B) for Hermitian A and B
+    num = 0.5 * float(np.vdot(diff, diff).real)
+    den = float(np.vdot(rho, rho).real)
     val = num / den
     if val < 0 or val > 1:
         log.info("clamping non-Gaussianity %.3e to [0,1]", val)

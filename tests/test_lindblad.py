@@ -286,6 +286,45 @@ class TestJumpForm:
                 (S @ rho.ravel()).reshape(6, 6), act(liou, rho), 1e-13, "R"
             )
 
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_apply_is_the_sparse_product(self, restrict):
+        """apply(x) is bit-identical to R @ x, on the full generator and on
+        a restricted one; apply(x, out) adds R @ x into out, to 4 eps, and
+        returns out."""
+        liou = lossy_kerr(8, drive=0.25)
+        if restrict:
+            liou = liou.restricted(np.arange(0, 64, 3))
+        n = liou.R.shape[0]
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=n)
+        assert np.array_equal(liou.apply(x), liou.R @ x)
+        out0 = rng.normal(size=n)
+        out = out0.copy()
+        assert liou.apply(x, out=out) is out
+        scale = np.max(np.abs(out0)) + np.max(abs(liou.R) @ np.abs(x))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(out - (out0 + liou.R @ x))) <= 4 * eps * scale
+
+    @pytest.mark.parametrize("case", [
+        "short out", "complex out", "strided out", "short x", "complex x"])
+    def test_apply_rejects_what_the_kernel_cannot_take(self, case):
+        """The kernel writes through raw pointers, so apply checks length,
+        dtype and, for out, contiguity first."""
+        liou = lossy_kerr(4, drive=0.25)
+        x, out = np.ones(16), np.zeros(16)
+        if case == "short out":
+            out = np.zeros(15)
+        elif case == "complex out":
+            out = np.zeros(16, dtype=complex)
+        elif case == "strided out":
+            out = np.zeros(32)[::2]
+        elif case == "short x":
+            x = np.ones(15)
+        else:
+            x = np.ones(16, dtype=complex)
+        with pytest.raises(ValueError):
+            liou.apply(x, out=out)
+
     def test_apply_matches_four_term_dissipator(self):
         reg, model, (N, M, rate_v, rate_s) = driven_squeezed_model()
         liou = build_liouvillian(model)
@@ -335,9 +374,9 @@ class TestJumpForm:
         calls = []
         apply = Liouvillian.apply
 
-        def counted(self, x):
+        def counted(self, x, out=None):
             calls.append(1)
-            return apply(self, x)
+            return apply(self, x, out)
 
         monkeypatch.setattr(Liouvillian, "apply", counted)
         stats: dict = {}
@@ -523,6 +562,27 @@ class TestJumpForm:
         assert 0.0 < stats["truncation_bound"] <= (
             stats["substeps"] * stats["tolerance"])
 
+    def test_uniform_grid_makes_one_plan(self, monkeypatch):
+        """np.linspace's spacings differ by rounding; they share one plan,
+        and the states match the stepwise propagation to 1e-10."""
+        liou = lossy_kerr(8, drive=0.25)
+        rho0 = DensityMatrix.vacuum(8)
+        t_grid = np.linspace(0.0, 2.0, 41)
+        assert len(set(np.diff(t_grid))) > 1
+        plans = []
+        plan = lindblad._chebyshev_plan
+
+        def counted(ell, log_rho):
+            plans.append(ell)
+            return plan(ell, log_rho)
+
+        monkeypatch.setattr(lindblad, "_chebyshev_plan", counted)
+        stats: dict = {}
+        states = integrate(liou, rho0, t_grid, stats=stats)
+        assert stats["method"] == "chebyshev"
+        assert len(plans) == 1
+        assert_matches_stepwise_expm_multiply(liou, rho0, t_grid, states)
+
     @pytest.mark.parametrize("loss", [0.0, 1e-3])
     def test_long_interval_terminates(self, loss):
         """One grid interval of c dt = 2.5e4, in at most 1.5 x 2.5e4
@@ -614,9 +674,9 @@ class TestReachableCoordinates:
         sizes = []
         apply = Liouvillian.apply
 
-        def counted(self, x):
+        def counted(self, x, out=None):
             sizes.append(x.size)
-            return apply(self, x)
+            return apply(self, x, out)
 
         monkeypatch.setattr(Liouvillian, "apply", counted)
         stats: dict = {}

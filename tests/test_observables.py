@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slhnet.algebra import ModeRegistry, OperatorExpr
 from slhnet.lindblad import (
     DensityMatrix,
     PhysicsValidationError,
+    annihilation_matrix,
     build_liouvillian,
     steady_state,
     trace_distance,
@@ -20,6 +23,7 @@ from slhnet.network import DissipationChannel, EffectiveModel
 from slhnet.observables import (
     MomentSet,
     _displacement,
+    _raw_moments,
     _squeeze,
     fano_factor,
     g2,
@@ -44,7 +48,37 @@ def driven_cavity(dim: int, eps: float, gamma: float):
     return model, reg
 
 
+def dense_moments(rho: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
+    """Quadrature mean and covariance as traces of the truncated x and p
+    matrices, the reference for ``_raw_moments``."""
+    a = annihilation_matrix(rho.shape[0])
+    ad = a.conj().T
+    x = (a + ad) / math.sqrt(2)
+    p = 1j * (ad - a) / math.sqrt(2)
+    ex = float(np.trace(x @ rho).real)
+    ep = float(np.trace(p @ rho).real)
+    xx = float(np.trace(x @ x @ rho).real) - ex * ex
+    pp = float(np.trace(p @ p @ rho).real) - ep * ep
+    xp = float((0.5 * np.trace((x @ p + p @ x) @ rho)).real) - ex * ep
+    return (ex, ep), np.array([[xx, xp], [xp, pp]])
+
+
 class TestMomentSet:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_diagonal_moments_match_matrix_traces(self, d, seed):
+        """The O(d) moments equal the traces of the truncated matrices to
+        1e-13, top level included, on random full-rank rho."""
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        (ex, ep), cov = _raw_moments(rho)
+        (ex_ref, ep_ref), cov_ref = dense_moments(rho)
+        np.testing.assert_allclose([ex, ep], [ex_ref, ep_ref],
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(cov, cov_ref, rtol=1e-13, atol=1e-13)
+
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(PhysicsValidationError, match="symmetric"):
             MomentSet(mean=(0.0, 0.0), cov=np.array([[1.0, 0.2], [0.1, 1.0]]))
