@@ -143,11 +143,14 @@ class DensityMatrix:
         d = self.mat.shape[0]
         if self.mat.shape != (d, d):
             raise PhysicsValidationError("density matrix must be square")
+        # each check passes only a number inside its bound, so NaN fails it;
+        # a non-finite entry makes herm NaN or inf
         herm = np.max(np.abs(self.mat - self.mat.conj().T))
-        if herm > 1e-10:
-            raise PhysicsValidationError(f"density matrix not Hermitian: max dev {herm:.2e}")
+        if not herm <= 1e-10:
+            raise PhysicsValidationError(
+                f"density matrix not Hermitian or not finite: max dev {herm:.2e}")
         tr = np.trace(self.mat).real
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise PhysicsValidationError(f"trace {tr!r} deviates from 1 beyond 1e-8")
         if min_eig is None:
             min_eig = float(np.linalg.eigvalsh(self.mat)[0])
@@ -172,19 +175,31 @@ class DensityMatrix:
 
     @staticmethod
     def coherent(dim: int, alpha: complex) -> "DensityMatrix":
+        if alpha == 0:
+            return DensityMatrix.vacuum(dim)
         ns = np.arange(dim)
-        logfact = np.cumsum(np.log(np.maximum(ns, 1)))
-        amps = np.exp(-abs(alpha) ** 2 / 2) * np.power(alpha, ns) / np.exp(logfact / 2)
+        # log |alpha^n / sqrt(n!)|, shifted to a largest amplitude of 1 so
+        # that no power or factorial overflows; e^{-|alpha|^2/2} cancels in
+        # the truncation renormalization
+        log_amp = ns * math.log(abs(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(ns, 1)))
+        amps = np.exp(log_amp - log_amp.max() + 1j * np.angle(alpha) * ns)
         amps /= np.linalg.norm(amps)  # truncation renormalization
         return DensityMatrix(np.outer(amps, amps.conj()))
 
     @staticmethod
     def thermal(dim: int, nbar: float) -> "DensityMatrix":
-        if nbar <= 0:
-            return DensityMatrix.vacuum(dim)
-        pops = (nbar / (1 + nbar)) ** np.arange(dim) / (1 + nbar)
-        pops /= pops.sum()
-        return DensityMatrix(np.diag(pops).astype(complex))
+        return DensityMatrix(np.diag(thermal_populations(dim, nbar)).astype(complex))
+
+
+def thermal_populations(dim: int, nbar: float) -> np.ndarray:
+    """Bose-Einstein populations of mean nbar, renormalized over dim
+    levels; the vacuum's at nbar <= 0."""
+    if nbar <= 0:
+        pops = np.zeros(dim)
+        pops[0] = 1.0
+        return pops
+    pops = (nbar / (1 + nbar)) ** np.arange(dim) / (1 + nbar)
+    return pops / pops.sum()
 
 
 def to_coords(rho: np.ndarray) -> np.ndarray:
@@ -369,10 +384,10 @@ def _validate_evolved(rho: np.ndarray, where: str) -> DensityMatrix:
     """Checks a state rebuilt by ``from_coords`` (Hermitian by construction);
     ``where`` names it in the messages ("t=0.5", "steady state")."""
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
+    if not abs(tr - 1.0) <= 1e-8:  # NaN fails too
         raise NumericalFailure(f"trace drift {tr - 1:.3e} at {where}")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < ABORT_FLOOR:
+    if not w[0] >= ABORT_FLOOR:
         raise NumericalFailure(
             f"negative population {w[0]:.3e} at {where}; truncation inadequate"
         )

@@ -1,23 +1,27 @@
 """Nonclassicality diagnostics: Fano factor, steady-state g2 via quantum
 regression, and non-Gaussianity against a moment-matched Gaussian reference.
 
-``moments``, ``fano_factor``, ``gaussian_reference`` and
+``mean_n``, ``moments``, ``fano_factor``, ``gaussian_reference`` and
 ``non_gaussianity`` take one mode's density matrix as an ndarray; a caller
-with a joint state reduces it first (``lindblad.partial_trace``)."""
+with a joint state reduces it first (``lindblad.partial_trace``).  The
+Gaussian reference's displacement and squeeze factors come from one
+eigendecomposition per truncation of each fixed generator
+(``_generator_eigenbases``), not from a matrix exponential per state."""
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lindblad import (
     DensityMatrix,
     PhysicsValidationError,
     annihilation_matrix,
     integrate,
+    thermal_populations,
 )
 
 log = logging.getLogger(__name__)
@@ -65,15 +69,20 @@ def _raw_moments(rho: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
     return (ex, ep), np.array([[xx, xp], [xp, pp]])
 
 
+def mean_n(rho: np.ndarray) -> float:
+    """Mean photon number <ad a> of one mode's matrix, read off its
+    diagonal in O(d)."""
+    return float(np.arange(rho.shape[0], dtype=float) @ np.diagonal(rho).real)
+
+
 def fano_factor(rho: np.ndarray) -> float:
     """Photon-number variance over mean of one mode's matrix; NaN at a mean
     of ``MEAN_N_FLOOR`` or below (undefined, or not resolved)."""
-    n = np.arange(rho.shape[0], dtype=float)
-    pops = np.diag(rho).real
-    mean = float(n @ pops)
+    mean = mean_n(rho)
     if mean <= MEAN_N_FLOOR:
         return math.nan
-    var = float((n * n) @ pops) - mean * mean
+    n = np.arange(rho.shape[0], dtype=float)
+    var = float((n * n) @ np.diagonal(rho).real) - mean * mean
     return var / mean
 
 
@@ -82,7 +91,7 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
     """Stationary g2(tau) by quantum regression.
 
     The seed a rho_ss ad is renormalized, evolved under the model's
-    Liouvillian ``liou``, and probed with the number operator; g2(0) =
+    Liouvillian ``liou``, and probed by its mean <n> (``mean_n``); g2(0) =
     <ad ad a a>/<ad a>^2 emerges at the first grid point.  ``tau_grid``
     starts at 0 and increases strictly, as ``integrate`` requires; another
     grid raises ValueError.  ``dims`` are the model's mode truncations (one
@@ -96,8 +105,7 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
     if len(dims) != 1:
         raise PhysicsValidationError("g2 supports single-mode models")
     a = annihilation_matrix(d)
-    nmat = a.conj().T @ a
-    nbar = float(np.trace(nmat @ rho_ss.mat).real)
+    nbar = mean_n(rho_ss.mat)
     if nbar <= MEAN_N_FLOOR:
         raise PhysicsValidationError("g2 undefined at zero mean photon number")
     seed = a @ rho_ss.mat @ a.conj().T
@@ -105,21 +113,46 @@ def g2(liou, rho_ss: DensityMatrix, tau_grid, dims,
     seed_tr = float(np.trace(seed).real)  # equals nbar
     sigma0 = DensityMatrix(seed / seed_tr)
     states = integrate(liou, sigma0, tau_grid, stats=stats)
+    return [mean_n(st.mat) * seed_tr / (nbar * nbar) for st in states]
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_eigenbases(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigendecompositions (mu, W) of the Hermitian -i(ad - a) and
+    -i(a^2 - ad^2)/2 at truncation d, read-only because they are shared."""
+    a = annihilation_matrix(d)
+    ad = a.conj().T
     out = []
-    for st in states:
-        val = float(np.trace(nmat @ st.mat).real) * seed_tr / (nbar * nbar)
-        out.append(val)
-    return out
+    for h in (-1j * (ad - a), -0.5j * (a @ a - ad @ ad)):
+        mu, W = np.linalg.eigh(h)
+        mu.flags.writeable = False
+        W.flags.writeable = False
+        out.append((mu, W))
+    return tuple(out)
+
+
+def _rotated_exp(mu: np.ndarray, W: np.ndarray, r: float, phi: float) -> np.ndarray:
+    """R^dag exp(i r H) R for H = W diag(mu) W^dag and R = diag(e^{-i phi n});
+    exactly the identity at r = 0, as ``expm`` of a zero generator is."""
+    if r == 0:
+        return np.eye(len(mu), dtype=complex)
+    A = (W * np.exp(1j * r * mu)) @ W.conj().T
+    ph = np.exp(1j * phi * np.arange(len(mu)))
+    return (ph[:, None] * A) * ph.conj()
 
 
 def _displacement(d: int, alpha: complex) -> np.ndarray:
-    a = annihilation_matrix(d)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    """exp(alpha ad - conj(alpha) a) at truncation d: with alpha = r e^{i phi},
+    the generator is r R^dag (ad - a) R, R = diag(e^{-i phi n})."""
+    mu, W = _generator_eigenbases(d)[0]
+    return _rotated_exp(mu, W, abs(alpha), np.angle(alpha))
 
 
 def _squeeze(d: int, zeta: complex) -> np.ndarray:
-    a = annihilation_matrix(d)
-    return expm(0.5 * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T)))
+    """exp((conj(zeta) a^2 - zeta ad^2)/2) at truncation d: with zeta =
+    r e^{2i phi}, the generator is r R^dag (a^2 - ad^2)/2 R."""
+    mu, W = _generator_eigenbases(d)[1]
+    return _rotated_exp(mu, W, abs(zeta), 0.5 * np.angle(zeta))
 
 
 def gaussian_reference(rho: np.ndarray) -> DensityMatrix:
@@ -128,7 +161,9 @@ def gaussian_reference(rho: np.ndarray) -> DensityMatrix:
 
     One-mode normal form: nu = sqrt(det cov) fixes the thermal occupancy
     nbar = nu - 1/2, the principal-axis ratio fixes the squeeze magnitude,
-    and the principal angle fixes the squeeze phase.
+    and the principal angle fixes the squeeze phase.  With U = D S, sigma =
+    U diag(p) U^dag for the thermal populations p; D and S come from the
+    truncation's cached eigenbases, so no matrix exponential is taken.
     """
     d = rho.shape[0]
     ms = moments(rho)
@@ -140,11 +175,8 @@ def gaussian_reference(rho: np.ndarray) -> DensityMatrix:
     # angle of the low-variance principal axis in the (x, p) plane
     psi = math.atan2(vecs[1, 0], vecs[0, 0])
     alpha = (ms.mean[0] + 1j * ms.mean[1]) / math.sqrt(2)
-    base = DensityMatrix.thermal(d, nbar).mat
-    S = _squeeze(d, r * np.exp(2j * psi))
-    Dm = _displacement(d, alpha)
-    U = Dm @ S
-    sigma = U @ base @ U.conj().T
+    U = _displacement(d, alpha) @ _squeeze(d, r * np.exp(2j * psi))
+    sigma = (U * thermal_populations(d, nbar)) @ U.conj().T
     sigma = 0.5 * (sigma + sigma.conj().T)
     sigma /= np.trace(sigma).real
     out = DensityMatrix(sigma)

@@ -59,7 +59,7 @@ from .network import (
     kerr_coefficients,
     quartic_coefficients,
 )
-from .observables import fano_factor, g2, non_gaussianity
+from .observables import fano_factor, g2, mean_n, non_gaussianity
 from .oracle import elimination_error
 
 TWO_PI = 2.0 * math.pi
@@ -342,10 +342,6 @@ def _leak_check(net: Netlist, leaks: list[float]):
     )
 
 
-def _mean_n(rho: np.ndarray) -> float:
-    return float(np.diag(rho).real @ np.arange(rho.shape[0]))
-
-
 def _freq_row(name: str, value_rad_us: float):
     return (name, value_rad_us, value_rad_us / TWO_PI)
 
@@ -365,7 +361,7 @@ def _run_time_series(net: Netlist) -> Result:
     for t, st in zip(t_grid, states):
         mats = _mode_matrices(st, net.registry.dims)
         leaks.append([fock_leak(m) for m in mats])
-        recs.append((t, _mean_n(mats[0]), fano_factor(mats[0]),
+        recs.append((t, mean_n(mats[0]), fano_factor(mats[0]),
                      None if task is Task.FANO else non_gaussianity(mats[0])))
     report, notes = _leak_check(net, max(leaks, key=max))
     results = {
@@ -400,7 +396,7 @@ def _run_steady(net: Netlist) -> Result:
     mats = _mode_matrices(rho, net.registry.dims)
     f = fano_factor(mats[0])
     delta = non_gaussianity(mats[0])
-    nbar = _mean_n(mats[0])
+    nbar = mean_n(mats[0])
     purity = float(np.trace(rho.mat @ rho.mat).real)
     report, notes = _leak_check(net, [fock_leak(m) for m in mats])
     results = {"mean_n": nbar, "fano": f,
@@ -428,7 +424,7 @@ def _run_g2(net: Netlist) -> Result:
     report, notes = _leak_check(net, [fock_leak(rho.mat)])
     stats = {**stats, "method": "regression+" + stats["method"],
              "steady_state": steady_stats}
-    nbar = _mean_n(rho.mat)
+    nbar = mean_n(rho.mat)
     results = {
         "g2_0": vals[0],
         "g2_max": max(vals),

@@ -581,6 +581,22 @@ class TestExitCodes:
         assert ("numerical failure: negative population -1.000e-03 at "
                 "steady state" in capsys.readouterr().err)
 
+    def test_non_finite_steady_state_is_exit_four(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A NaN eigenvector fails the trace comparison and is diagnosed;
+        it never reaches an eigensolver's LinAlgError."""
+        x = np.full(16, np.nan)
+
+        def eigs(*args, **kwargs):
+            return np.array([0.0, -1.0]), np.stack([x, 0 * x], axis=1)
+
+        monkeypatch.setattr(slhnet.lindblad.spla, "eigs", eigs)
+        nl = write_net(tmp_path, LOSSY_STEADY_NET.format(dim=4))
+        rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert ("numerical failure: trace drift nan at steady state"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("dim", [50, 121])
     def test_lossy_cavity_steady_state_is_vacuum(self, tmp_path, capsys, dim):
         out = run_cli(tmp_path, LOSSY_STEADY_NET.format(dim=dim))

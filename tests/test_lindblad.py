@@ -963,6 +963,27 @@ class TestSteadyState:
             steady_state(Liouvillian(zero_hamiltonian(5)))
 
 
+class TestCoherentState:
+    @pytest.mark.parametrize("dim, alpha", [(12, 0.7 - 0.4j), (400, 0.5),
+                                            (700, 3.0)])
+    def test_amplitudes_match_the_poisson_law(self, dim, alpha):
+        """|<n|alpha>|^2 = e^{-|alpha|^2} |alpha|^{2n} / n!, renormalized
+        over the truncation, with the phase e^{i n arg alpha}; built without
+        an overflow at hundreds of levels."""
+        rho = DensityMatrix.coherent(dim, alpha).mat
+        n = np.arange(dim)
+        logfact = np.cumsum(np.log(np.maximum(n, 1)))
+        pops = np.exp(2 * n * math.log(abs(alpha)) - logfact - abs(alpha) ** 2)
+        pops /= pops.sum()
+        assert np.max(np.abs(np.diag(rho).real - pops)) < 1e-14
+        phase = rho[5, 0] / abs(rho[5, 0])
+        assert abs(phase - np.exp(5j * np.angle(alpha))) < 1e-12
+
+    def test_zero_amplitude_is_the_vacuum(self):
+        assert np.array_equal(DensityMatrix.coherent(8, 0.0).mat,
+                              DensityMatrix.vacuum(8).mat)
+
+
 class TestDiagnostics:
     def test_fock_leak_single_mode(self):
         pops = np.array([0.9, 0.06, 0.03, 0.007, 0.003])
@@ -999,6 +1020,25 @@ class TestDiagnostics:
         assert np.linalg.eigvalsh(st.mat)[0] >= 0.0
         assert np.trace(st.mat).real == pytest.approx(1.0, abs=1e-15)
         assert_close_matrices(st.mat, np.diag([1.0, 0.0]), 1e-15, "clipped")
+
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "inf"])
+    def test_non_finite_matrix_is_rejected(self, where):
+        """NaN or inf fails the Hermiticity comparison before any
+        eigensolver sees the matrix."""
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        if where == "diagonal":
+            rho[1, 1] = np.nan
+        elif where == "off-diagonal":
+            rho[0, 2] = rho[2, 0] = np.nan
+        else:
+            rho[0, 1] = np.inf
+        with pytest.raises(PhysicsValidationError, match="not finite"):
+            DensityMatrix(rho)
+
+    def test_non_finite_evolved_state_is_a_numerical_failure(self):
+        rho = np.full((3, 3), np.nan, dtype=complex)
+        with pytest.raises(NumericalFailure, match="trace drift nan at t=1"):
+            lindblad._validate_evolved(rho, "t=1")
 
     def test_dense_representation_guard(self):
         dim = 130

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from slhnet.algebra import ModeRegistry, OperatorExpr
 from slhnet.lindblad import (
@@ -23,11 +24,13 @@ from slhnet.network import DissipationChannel, EffectiveModel
 from slhnet.observables import (
     MomentSet,
     _displacement,
+    _generator_eigenbases,
     _raw_moments,
     _squeeze,
     fano_factor,
     g2,
     gaussian_reference,
+    mean_n,
     moments,
     non_gaussianity,
 )
@@ -61,6 +64,46 @@ def dense_moments(rho: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
     pp = float(np.trace(p @ p @ rho).real) - ep * ep
     xp = float((0.5 * np.trace((x @ p + p @ x) @ rho)).real) - ex * ep
     return (ex, ep), np.array([[xx, xp], [xp, pp]])
+
+
+def expm_displacement(d: int, alpha: complex) -> np.ndarray:
+    """exp(alpha ad - conj(alpha) a) by ``expm``, the reference for
+    ``_displacement``."""
+    a = annihilation_matrix(d)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def expm_squeeze(d: int, zeta: complex) -> np.ndarray:
+    """exp((conj(zeta) a^2 - zeta ad^2)/2) by ``expm``, the reference for
+    ``_squeeze``."""
+    a = annihilation_matrix(d)
+    return expm(0.5 * (np.conj(zeta) * (a @ a) - zeta * (a.conj().T @ a.conj().T)))
+
+
+def expm_reference_sigma(rho: np.ndarray) -> np.ndarray:
+    """The Gaussian reference built as U sigma_th U^dag from a validated
+    thermal state and ``expm`` factors, the reference for
+    ``gaussian_reference``."""
+    d = rho.shape[0]
+    (ex, ep), V = _raw_moments(rho)
+    nbar = max(math.sqrt(max(np.linalg.det(V), 0.25)) - 0.5, 0.0)
+    w, vecs = np.linalg.eigh(V)
+    r = 0.25 * math.log(w[1] / w[0]) if w[0] > 0 else 0.0
+    psi = math.atan2(vecs[1, 0], vecs[0, 0])
+    U = (expm_displacement(d, (ex + 1j * ep) / math.sqrt(2))
+         @ expm_squeeze(d, r * np.exp(2j * psi)))
+    sigma = U @ DensityMatrix.thermal(d, nbar).mat @ U.conj().T
+    sigma = 0.5 * (sigma + sigma.conj().T)
+    return sigma / np.trace(sigma).real
+
+
+def low_energy_state(d: int, rng) -> np.ndarray:
+    """Random full-rank rho whose populations fall off as e^{-2n}, so that
+    its Gaussian reference fits in d levels."""
+    g = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * np.exp(
+        -np.arange(d))[:, None]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestMomentSet:
@@ -151,6 +194,16 @@ class TestFanoFactor:
             assert fano_factor(DensityMatrix(rho).mat) >= 1.0 - 1e-6
 
 
+class TestMeanN:
+    def test_matches_the_number_operator_trace(self):
+        rng = np.random.default_rng(23)
+        for d in (2, 7, 30):
+            rho = low_energy_state(d, rng)
+            a = annihilation_matrix(d)
+            ref = float(np.trace(a.conj().T @ a @ rho).real)
+            assert mean_n(rho) == pytest.approx(ref, rel=1e-14)
+
+
 class TestG2:
     def test_coherent_steady_state_is_flat_at_one(self):
         model, reg = driven_cavity(25, eps=0.5, gamma=1.0)
@@ -217,7 +270,47 @@ class TestG2:
             g2(build_liouvillian(model), rho, [0.0, 1.0], reg.dims)
 
 
+class TestGeneratorExponentials:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.0, 1.5), st.floats(-math.pi, math.pi),
+           st.floats(0.0, 3.0), st.floats(-math.pi, math.pi))
+    def test_factors_match_expm_of_the_generators(self, d, r, th, s, ph):
+        """The eigenbasis factors equal ``expm`` of the same truncated
+        generators to 1e-12 absolute, fixed beforehand."""
+        zeta, alpha = r * np.exp(1j * th), s * np.exp(1j * ph)
+        np.testing.assert_allclose(_squeeze(d, zeta), expm_squeeze(d, zeta),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_displacement(d, alpha),
+                                   expm_displacement(d, alpha),
+                                   rtol=0, atol=1e-12)
+
+    def test_cached_eigenbases_are_read_only(self):
+        for mu, W in _generator_eigenbases(6):
+            for arr in (mu, W):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        assert _generator_eigenbases(6) is _generator_eigenbases(6)
+
+
 class TestGaussianReference:
+    def test_matches_the_expm_construction(self):
+        """sigma equals the thermal state conjugated by ``expm`` factors to
+        1e-12 absolute on random mixed states, centred and displaced and
+        squeezed."""
+        rng = np.random.default_rng(24)
+        for d in (16, 24, 32, 40):
+            for _ in range(5):
+                rho = low_energy_state(d, rng)
+                np.testing.assert_allclose(gaussian_reference(rho).mat,
+                                           expm_reference_sigma(rho),
+                                           rtol=0, atol=1e-12)
+        U = expm_displacement(40, 1.2 - 0.5j) @ expm_squeeze(40, 0.4j)
+        for _ in range(5):
+            rho = U @ low_energy_state(40, rng) @ U.conj().T
+            np.testing.assert_allclose(gaussian_reference(rho).mat,
+                                       expm_reference_sigma(rho),
+                                       rtol=0, atol=1e-12)
+
     def test_squeezed_vacuum_is_a_fixed_point(self):
         r, d = 0.3, 30
         S = _squeeze(d, r)
