@@ -29,7 +29,8 @@ directory receives
 * ``summary.txt``: the effective model pretty-printed with every
   coefficient in both rad/us and MHz (frequency nu = omega / 2 pi)
   plus headline results, and a warning line when the truncation check
-  failed (the same line also goes to stderr).
+  or a steady state's residual check failed (the same line also goes to
+  stderr).
 
 The ``g2`` task reports two distinct properties of the steady-state light
 (Zou & Mandel, PRA 41, 475 (1990)): ``sub_poissonian``, photon counts

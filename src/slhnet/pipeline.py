@@ -39,6 +39,7 @@ from . import blas
 from .algebra import OperatorExpr
 from .lindblad import (
     LEAK_THRESHOLD,
+    STEADY_RESIDUAL,
     DensityMatrix,
     PhysicsValidationError,
     build_liouvillian,
@@ -342,6 +343,16 @@ def _leak_check(net: Netlist, leaks: list[float]):
     )
 
 
+def _residual_check(steady_stats: dict) -> tuple[str, ...]:
+    """The warning of a steady state whose residual missed its target."""
+    if steady_stats["residual_within_target"]:
+        return ()
+    return (
+        f"warning: steady-state check failed: residual "
+        f"{steady_stats['residual']:.3g} exceeds target {STEADY_RESIDUAL:g}",
+    )
+
+
 def _freq_row(name: str, value_rad_us: float):
     return (name, value_rad_us, value_rad_us / TWO_PI)
 
@@ -399,6 +410,7 @@ def _run_steady(net: Netlist) -> Result:
     nbar = mean_n(mats[0])
     purity = float(np.trace(rho.mat @ rho.mat).real)
     report, notes = _leak_check(net, [fock_leak(m) for m in mats])
+    notes += _residual_check(stats)
     results = {"mean_n": nbar, "fano": f,
                "sub_poissonian": 1.0 - f > LEAK_THRESHOLD,
                "delta": delta, "purity": purity}
@@ -422,6 +434,7 @@ def _run_g2(net: Netlist) -> Result:
     columns = ("tau_us", "tau_over_taustar", "g2")
     rows = [(t, t / tau_star, v) for t, v in zip(taus, vals)]
     report, notes = _leak_check(net, [fock_leak(rho.mat)])
+    notes += _residual_check(steady_stats)
     stats = {**stats, "method": "regression+" + stats["method"],
              "steady_state": steady_stats}
     nbar = mean_n(rho.mat)

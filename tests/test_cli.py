@@ -281,7 +281,12 @@ class TestArtifacts:
         stats = manifest["integrator_stats"]
         assert stats["method"] == "sparse-shift-invert"
         assert stats["residual"] < 1e-9
+        assert stats["residual_within_target"] is True
         assert stats["lambda2_abs"] > 0.0
+        assert stats["solves"] > 0
+        assert stats["arpack_basis"] == 10
+        assert stats["arpack_tol"] == 1e-6
+        assert stats["factor_bytes"] == 12 * stats["factor_nnz"] > 0
         assert_generator_stats(stats, PUMPED_NET)
         again = run_cli(tmp_path, PUMPED_NET, sub="again")
         capsys.readouterr()
@@ -566,7 +571,6 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("ignore:steady-state residual")
     def test_negative_steady_population_is_exit_four(self, tmp_path, capsys,
                                                      monkeypatch):
         x = to_coords(np.diag([1.001, 0.0, 0.0, -1e-3]))
@@ -583,8 +587,8 @@ class TestExitCodes:
 
     def test_non_finite_steady_state_is_exit_four(self, tmp_path, capsys,
                                                   monkeypatch):
-        """A NaN eigenvector fails the trace comparison and is diagnosed;
-        it never reaches an eigensolver's LinAlgError."""
+        """A NaN eigenvector is named as a failed eigensolve; it never
+        reaches the trace comparison or an eigensolver's LinAlgError."""
         x = np.full(16, np.nan)
 
         def eigs(*args, **kwargs):
@@ -594,8 +598,33 @@ class TestExitCodes:
         nl = write_net(tmp_path, LOSSY_STEADY_NET.format(dim=4))
         rc = main(["--netlist", str(nl), "--out", str(tmp_path / "o")])
         assert rc == 4
-        assert ("numerical failure: trace drift nan at steady state"
-                in capsys.readouterr().err)
+        assert ("numerical failure: shift-invert eigensolve returned a "
+                "non-finite eigenpair" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("task", ["steady", "g2"])
+    def test_failed_residual_check_is_reported(self, tmp_path, capsys,
+                                               monkeypatch, task):
+        """A steady state that misses the residual target keeps exit 0 and
+        the manifest, and says so in its stats, on stderr and in
+        summary.txt, like a failed leak check."""
+        x = to_coords(np.diag([0.9, 0.1] + [0.0] * 8))
+
+        def eigs(*args, **kwargs):
+            return np.array([0.0, -1.0]), np.stack([x, 0 * x], axis=1)
+
+        monkeypatch.setattr(slhnet.lindblad.spla, "eigs", eigs)
+        out = run_cli(tmp_path, LOSSY_STEADY_NET.format(dim=10).replace(
+            "run.task = steady", f"run.task = {task}"))
+        err = capsys.readouterr().err
+        stats = json.loads((out / "manifest.json").read_text())["integrator_stats"]
+        stats = stats.get("steady_state", stats)
+        assert stats["residual_within_target"] is False
+        assert stats["residual"] > 1e-9
+        warning = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert warning == [f"warning: steady-state check failed: residual "
+                           f"{stats['residual']:.3g} exceeds target 1e-09"]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-1] == warning[0]
 
     @pytest.mark.parametrize("dim", [50, 121])
     def test_lossy_cavity_steady_state_is_vacuum(self, tmp_path, capsys, dim):

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import linalg as spla
 from scipy.sparse.linalg import expm_multiply
 
 from slhnet import lindblad
@@ -28,6 +31,7 @@ from slhnet.lindblad import (
     to_matrix,
     trace_distance,
 )
+from slhnet.netlist import parse
 from slhnet.network import (
     AmplifierParams,
     DissipationChannel,
@@ -37,8 +41,10 @@ from slhnet.network import (
     eliminate_amplifier,
     high_gain_limit,
 )
+from slhnet.pipeline import build_model
 
-from .conftest import assert_close_matrices
+from .conftest import assert_close_matrices, small_complex
+from .test_bench_reference import load
 
 
 def single_mode(dim: int) -> tuple[ModeRegistry, OperatorExpr]:
@@ -896,7 +902,98 @@ class TestIntegration:
                 assert abs(np.trace(st.mat).real - 1.0) < 1e-8
 
 
+def eigs_steady_state(liou: Liouvillian) -> tuple[np.ndarray, float]:
+    """The kernel of R (tr rho = 1) and |lambda_2| by ARPACK's own
+    shift-invert at its defaults (basis 20, tol = 0): the eigensolve that
+    ``steady_state`` made before it owned its factorization."""
+    d = liou.dim
+    R = liou.R
+    sigma = 1e-9 * (spla.norm(R, 1) or 1.0)
+    v0 = np.random.default_rng(0).standard_normal(d * d)
+    w, v = spla.eigs(R, k=2, sigma=sigma, which="LM", v0=v0)
+    order = np.argsort(np.abs(w))
+    x = v[:, order[0]].real
+    return from_coords(x / np.trace(x.reshape(d, d)), d), float(abs(w[order[1]]))
+
+
+def assert_matches_eigs_steady_state(liou: Liouvillian) -> None:
+    """Within the tolerances fixed for the shorter eigensolve: a trace
+    distance of 1e-12, and |lambda_2| to 1e-4 relative."""
+    stats: dict = {}
+    rho = steady_state(liou, stats=stats)
+    ref, lam2 = eigs_steady_state(liou)
+    assert trace_distance(rho.mat, ref) <= 1e-12
+    assert abs(stats["lambda2_abs"] - lam2) <= 1e-4 * lam2
+    assert stats["residual_within_target"] is True
+
+
+# normal-ordered monomials ad^p a^q of degree p + q <= 4 with coefficients
+hamiltonian_terms = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), small_complex()).filter(
+        lambda t: t[0] + t[1] <= 4),
+    max_size=4)
+
+
 class TestSteadyState:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 24), hamiltonian_terms, st.floats(0.1, 2.0))
+    def test_matches_arpack_defaults_on_random_models(self, dim, terms, loss):
+        """H = P + P^dag for a random polynomial P in a and ad of degree
+        <= 4, with a loss channel of rate >= 0.1."""
+        a = annihilation_matrix(dim)
+        ad = a.conj().T
+        P = sum((c * np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
+                 for p, q, c in terms), np.zeros((dim, dim), dtype=complex))
+        assert_matches_eigs_steady_state(
+            Liouvillian(P + P.conj().T, [math.sqrt(loss) * a]))
+
+    @pytest.mark.parametrize("name", ["steady-d36", "g2-kerr-drive"])
+    def test_matches_arpack_defaults_on_benchmark_models(self, name):
+        """The seed-1 quartic oscillator at d = 36 and the Kerr + drive g2
+        model at d = 30 of the benchmark's stationary workload."""
+        (op,) = [o for o in load("workloads").generate("stationary", 1)
+                 if o["name"] == name]
+        model = build_model(parse(op["netlist"])).model
+        assert_matches_eigs_steady_state(build_liouvillian(model))
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_records_every_solve_and_the_factor(self, dim, monkeypatch):
+        """The recorded solves are the solves made with the one factor, and
+        its size is SuperLU's count of the entries of L and U, no fewer than
+        their CSC copies hold.  d = 2 has four coordinates, fewer than
+        STEADY_BASIS."""
+        factors = []
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+                self.nnz, self.L, self.U = lu.nnz, lu.L, lu.U
+
+            def solve(self, b):
+                self.solves += 1
+                return self.lu.solve(b)
+
+        def splu(A):
+            factors.append(Counted(real_splu(A)))
+            return factors[-1]
+
+        real_splu = lindblad.spla.splu
+        monkeypatch.setattr(lindblad.spla, "splu", splu)
+        a = annihilation_matrix(dim)
+        stats: dict = {}
+        rho = steady_state(Liouvillian(0.3 * a.conj().T @ a + 0.2 * (a + a.conj().T),
+                                       [a]), stats=stats)
+        (lu,) = factors
+        assert stats["solves"] == lu.solves > 0
+        assert stats["factor_nnz"] == lu.nnz
+        assert lu.L.nnz + lu.U.nnz <= stats["factor_nnz"]
+        assert stats["factor_bytes"] == 12 * lu.nnz
+        assert stats["arpack_basis"] == min(lindblad.STEADY_BASIS, dim * dim)
+        assert stats["arpack_tol"] == lindblad.STEADY_TOL
+        assert stats["residual"] <= lindblad.STEADY_RESIDUAL
+        assert stats["residual_within_target"] is True
+        assert abs(np.trace(rho.mat) - 1.0) < 1e-12
+
     def test_damped_cavity_relaxes_to_vacuum(self):
         dim = 7
         reg, a = single_mode(dim)
