@@ -5,7 +5,6 @@ from .algebra import (
     ModeRegistry,
     OperatorExpr,
     adjoint,
-    commutator,
     is_hermitian,
 )
 from .network import (
@@ -29,7 +28,6 @@ __all__ = [
     "ModeRegistry",
     "OperatorExpr",
     "adjoint",
-    "commutator",
     "is_hermitian",
     "AmplifierParams",
     "DissipationChannel",

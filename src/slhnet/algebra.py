@@ -237,10 +237,6 @@ def adjoint(x: OperatorExpr) -> OperatorExpr:
     return x.adjoint()
 
 
-def commutator(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
-    return x * y - y * x
-
-
 def is_hermitian(x: OperatorExpr, tol: float = 1e-12) -> bool:
     if tol < 0:
         raise ValueError("tol must be nonnegative")

@@ -26,7 +26,16 @@ Chebyshev certificate and the Krylov norm bound, stay valid.  Weak
 symmetries (Buca & Prosen, New J. Phys. 14, 073007 (2012)) show up this
 way without any analysis: a linear loop started in vacuum stays in its
 total-parity block, half of the coordinates, and a Fock state under an
-undriven Kerr loss model keeps to its populations."""
+undriven Kerr loss model keeps to its populations.
+
+``steady_state`` finds the kernel of R by shift-invert Arnoldi, and solves
+with R - sigma through a factorization that follows R's own structure.
+Breadth-first levels of R's sparsity graph, from rho_00, make R block
+tridiagonal (``_level_blocks``): each jump or Hamiltonian term moves a
+coordinate by a bounded number of levels.  ``_BlockLU`` eliminates the
+blocks from the highest level down with dense LAPACK LU inside each block,
+and refines every solve against R - sigma, since no pivot crosses a
+block (Li & Demmel, ACM TOMS 29, 110 (2003))."""
 from __future__ import annotations
 
 import copy
@@ -36,7 +45,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 from scipy.linalg.blas import daxpy
 from scipy.sparse import linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
@@ -83,6 +92,27 @@ PRUNE_TOL = float(np.finfo(float).eps)
 STEADY_BASIS = 10
 STEADY_TOL = 1e-6
 STEADY_RESIDUAL = 1e-9
+# block LU of R - sigma (``_BlockLU``): consecutive breadth-first levels are
+# merged into blocks of at least STEADY_BLOCK coordinates.  Of {1, 32, 64,
+# 128, 256}, 64 and 128 were the fastest at d = 80, within the machine's
+# drift of each other; unmerged levels (1) took the g2 model at d = 30 up to
+# three times as long as 64.
+STEADY_BLOCK = 64
+# each solve is refined against R - sigma until a correction is at most
+# REFINE_TOL of the solution or fails to halve, with at most REFINE_STEPS
+# corrections.  Unrefined, ||b - (R - sigma) x|| / ||b|| reaches 4.0e-6 at
+# d = 80, and the seed-1 to 3 benchmark models' kernel residuals 9.5e-9.  One
+# correction brings those to 1.2e-12, but leaves up to 9.1e-8 on stiff models
+# (loss 1e-3 to 2, Hamiltonian coefficients up to 1e3), where this rule gives
+# 1.6e-11.  Most solves stop after one or two corrections; one whose
+# corrections shrank 60-fold a step took six, and a cap of 10 instead of 3
+# costs the benchmark models nothing (CHANGES.md, "Steady states on a
+# block-tridiagonal LU").
+REFINE_STEPS = 10
+REFINE_TOL = 1e-10
+# the block factor's dense blocks are refused above this many bytes, before
+# they are allocated
+FACTOR_BYTES_CAP = 2 ** 31
 
 
 class PhysicsValidationError(ValueError):
@@ -741,21 +771,171 @@ def _chebyshev_plan(ell: float, log_rho: float) -> tuple[int, np.ndarray, float]
     return m, coef, err
 
 
+def _level_blocks(R: sparse.csr_matrix) -> list[np.ndarray]:
+    """Coordinates of R in blocks of consecutive breadth-first levels,
+    highest level first; every stored entry of R joins a block to itself or
+    to a neighbour in this list.
+
+    The levels are distances in R's symmetrized sparsity graph from coordinate
+    0 (rho_00) and from the smallest coordinate of each other connected
+    component.  An edge joins equal or adjacent distances, and components
+    share no edge, so each component after the first takes the levels above
+    the last one's.  From level 0 up, consecutive levels are merged until a
+    block holds at least STEADY_BLOCK coordinates; a smaller remainder joins
+    the last block.
+    """
+    from scipy.sparse import csgraph  # about 5 ms; only steady states need it
+
+    n = R.shape[0]
+    pattern = sparse.csr_matrix((np.ones_like(R.data), R.indices, R.indptr),
+                                shape=R.shape)
+    _, labels = csgraph.connected_components(pattern, directed=False)
+    roots = np.unique(labels, return_index=True)[1]  # by label
+    dist = csgraph.dijkstra(pattern, directed=False, unweighted=True,
+                            indices=roots, min_only=True).astype(np.intp)
+    span = np.zeros(roots.size, dtype=np.intp)
+    np.maximum.at(span, labels, dist + 1)
+    by_root = np.argsort(roots)  # rho_00's component first
+    offset = np.empty_like(span)
+    offset[by_root] = np.cumsum(span[by_root]) - span[by_root]
+    level = dist + offset[labels]
+    cuts = [0]
+    for end in np.cumsum(np.bincount(level)):
+        if end - cuts[-1] >= STEADY_BLOCK:
+            cuts.append(int(end))
+    if len(cuts) == 1:
+        cuts.append(n)
+    cuts[-1] = n  # a remainder below STEADY_BLOCK joins the last block
+    order = np.argsort(level, kind="stable")
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])][::-1]
+
+
+class _BlockLU:
+    """LU factorization of A = R - sigma along the blocks of
+    ``_level_blocks`` (Cuthill & McKee, Proc. 24th ACM Nat. Conf. (1969)):
+    with them A is block tridiagonal, with diagonal blocks D_i and couplings
+    E_i = A[i, i+1] and F_i = A[i+1, i].  Block elimination in that order,
+
+        S_0 = D_0,  S_i = D_i - F_{i-1} S_{i-1}^{-1} E_{i-1},
+
+    factors each S_i densely by LAPACK getrf, pivoting inside the block;
+    S_{i-1}^{-1} E_{i-1} is formed by getrs on the columns where E_{i-1} has
+    entries.  E and F stay sparse, as negated CSR arrays that the solve adds
+    into its right-hand side in place, by the kernel ``Liouvillian.apply``
+    calls.  The blocks run from the highest level down, so rho_00's block,
+    where the kernel of R lies, is eliminated last; the reverse order left
+    unrefined residuals 8x larger at d = 80.
+
+    No pivot crosses a block, so, as with static pivoting (Li & Demmel, ACM
+    TOMS 29, 110 (2003)), a solve is refined against A (``refined_solve``).
+    ``nbytes`` counts the dense S_i and their pivots, float64 and int32; it
+    is known, and checked against FACTOR_BYTES_CAP, before they are
+    allocated.  The couplings hold R's own entries.
+    """
+
+    def __init__(self, liou: Liouvillian, sigma: float):
+        self.liou, self.sigma = liou, sigma
+        blocks = _level_blocks(liou.R)
+        sizes = np.array([blk.size for blk in blocks])
+        self.nbytes = int(np.sum(sizes * (8 * sizes + 4)))
+        if self.nbytes > FACTOR_BYTES_CAP:
+            raise NumericalFailure(
+                f"block factor of the steady state would take {self.nbytes} "
+                f"bytes, above {FACTOR_BYTES_CAP}; refusing")
+        self.largest = int(sizes.max())
+        self.perm = np.concatenate(blocks)
+        b = self.bounds = [0, *np.cumsum(sizes).tolist()]
+        Rp = liou.R[self.perm][:, self.perm]
+        entry_row = np.repeat(np.arange(Rp.shape[0]), np.diff(Rp.indptr))
+        self.solves = self.corrections = 0
+        self.lu, self.piv, self.lower, self.upper = [], [], [], []
+        for i, (lo, hi) in enumerate(zip(b[:-1], b[1:])):
+            seg = slice(Rp.indptr[lo], Rp.indptr[hi])
+            rows = entry_row[seg] - lo
+            cols, vals = Rp.indices[seg], Rp.data[seg]
+            S = np.zeros((hi - lo, hi - lo), order="F")
+            inner = (cols >= lo) & (cols < hi)
+            S[rows[inner], cols[inner] - lo] = vals[inner]
+            S[np.diag_indices_from(S)] -= sigma
+            if i:
+                prev = cols < lo
+                F = sparse.csr_matrix(
+                    (-vals[prev], (rows[prev], cols[prev] - b[i - 1])),
+                    shape=(hi - lo, lo - b[i - 1]))
+                S[:, coupled] += F @ G
+                self.lower.append((*F.shape, F.indptr, F.indices, F.data))
+            lu, piv, info = lapack.dgetrf(S, overwrite_a=True)
+            if info > 0:
+                raise NumericalFailure(
+                    "block factor of R - sigma is exactly singular")
+            self.lu.append(lu)
+            self.piv.append(piv)
+            if i + 2 < len(b):
+                nxt = cols >= hi
+                near = cols[nxt] - hi
+                E = sparse.csr_matrix((-vals[nxt], (rows[nxt], near)),
+                                      shape=(hi - lo, b[i + 2] - hi))
+                self.upper.append((*E.shape, E.indptr, E.indices, E.data))
+                coupled = np.unique(near)
+                G = np.zeros((hi - lo, coupled.size), order="F")
+                G[rows[nxt], np.searchsorted(coupled, near)] = vals[nxt]
+                G = lapack.dgetrs(lu, piv, G, overwrite_b=True)[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs by block forward and back substitution; the forward
+        sweep leaves z_i = rhs_i - F_{i-1} S_{i-1}^{-1} z_{i-1} in z."""
+        b = self.bounds
+        z = rhs[self.perm]
+        for i, (lu, piv) in enumerate(zip(self.lu, self.piv)):
+            zi = z[b[i]:b[i + 1]]
+            if i:
+                csr_matvec(*self.lower[i - 1], w, zi)
+            w = lapack.dgetrs(lu, piv, zi)[0]
+        x = np.empty_like(z)
+        x[b[-2]:] = w
+        for i in range(len(self.lu) - 2, -1, -1):
+            zi = z[b[i]:b[i + 1]]
+            csr_matvec(*self.upper[i], x[b[i + 1]:b[i + 2]], zi)
+            x[b[i]:b[i + 1]] = lapack.dgetrs(self.lu[i], self.piv[i], zi)[0]
+        out = np.empty_like(x)
+        out[self.perm] = x
+        self.solves += 1
+        return out
+
+    def refined_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs, refined: x += A^{-1} (rhs - A x) until a correction
+        is at most REFINE_TOL ||x||_2 or fails to halve, and at most
+        REFINE_STEPS times.  Each correction is one product with R
+        (``Liouvillian.apply``) and one more ``solve``."""
+        x = self.solve(rhs)
+        last = math.inf
+        for _ in range(REFINE_STEPS):
+            dx = self.solve(rhs + self.sigma * x - self.liou.apply(x))
+            x += dx
+            self.corrections += 1
+            size = math.sqrt(dx @ dx)
+            if size <= REFINE_TOL * math.sqrt(x @ x) or size > 0.5 * last:
+                break
+            last = size
+        return x
+
+
 def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
     """Kernel of the real generator R by ARPACK shift-invert Arnoldi (mode 3;
     Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).
 
     The shift sigma = +1e-9 ||R||_1 keeps R - sigma regular, since no
     eigenvalue of a Lindbladian (R has the spectrum of S) has a positive
-    real part.  R - sigma is factored once here (``splu``, CSC), and every
-    Arnoldi step is one solve with that factor.  ARPACK runs on a basis of
-    min(STEADY_BASIS, d^2) vectors to the relative tolerance STEADY_TOL on
-    its Ritz values, not to machine precision, so lambda_2 is reported to
-    about that precision: a Ritz residual bounds an eigenvalue's error only
-    up to its condition number, and on the seed-1 d = 80 benchmark model
-    lambda_2 is 3.8e-5 relative from its tol = 0 value.  That is ample for
-    the one check it feeds: a second eigenvalue within 1e-9 ||R||_1 of zero
-    means several steady states.
+    real part.  R - sigma is factored once here, block by block along the
+    breadth-first levels of R's sparsity graph (``_BlockLU``), and every
+    Arnoldi step is one refined solve with that factor.  ARPACK runs on a
+    basis of min(STEADY_BASIS, d^2) vectors to the relative tolerance
+    STEADY_TOL on its Ritz values, not to machine precision, so lambda_2 is
+    reported to about that precision: a Ritz residual bounds an eigenvalue's
+    error only up to its condition number, and on the seed-1 d = 80
+    benchmark model lambda_2 is 3.8e-5 relative from its tol = 0 value.
+    That is ample for the one check it feeds: a second eigenvalue within
+    1e-9 ||R||_1 of zero means several steady states.
 
     A non-finite eigenpair raises NumericalFailure.  The kernel vector,
     normalized to tr rho = 1, should meet ||R x||_2 <= STEADY_RESIDUAL; a
@@ -765,35 +945,24 @@ def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
 
     ``stats``, if given, receives the method, |lambda_2| and the tolerance
     it was converged to, the residual ||R x||_2 = ||L rho||_F and whether it
-    met STEADY_RESIDUAL, the number of solves and the basis size, the
-    stored entries of the factor L + U and their bytes, and the size of R.
-    The entries are SuperLU's own count, since the CSC copies ``lu.L`` and
-    ``lu.U`` would add 41 MB to the peak memory of a d = 80 steady state.
-    The bytes count a float64 value and an int32 row index per entry and no
-    column pointers; L's supernodes share their row indices, so SuperLU
-    keeps fewer.
+    met STEADY_RESIDUAL, the number of solves, the refinement's further
+    solves and the basis size, the factor's block count, largest block and
+    bytes (``_BlockLU.nbytes``), and the size of R.
     """
     d = liou.dim
     R = liou.R
     n = d * d
     scale = spla.norm(R, 1) or 1.0
     sigma = 1e-9 * scale
-    lu = spla.splu((R - sigma * sparse.identity(n, format="csr")).tocsc())
-    solves = 0
-
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return lu.solve(b)
-
+    factor = _BlockLU(liou, sigma)
     # ARPACK takes k + 1 < basis <= n, here 4 <= basis <= d^2
     basis = min(STEADY_BASIS, n)
     # a fixed start vector keeps the result, and so the manifests, reproducible
     v0 = np.random.default_rng(0).standard_normal(n)
     w, v = spla.eigs(R, k=2, sigma=sigma, which="LM", v0=v0, ncv=basis,
                      tol=STEADY_TOL,
-                     OPinv=spla.LinearOperator((n, n), matvec=solve,
-                                               dtype=float))
+                     OPinv=spla.LinearOperator((n, n), dtype=float,
+                                               matvec=factor.refined_solve))
     if not (np.isfinite(w).all() and np.isfinite(v).all()):
         raise NumericalFailure(
             "shift-invert eigensolve returned a non-finite eigenpair")
@@ -812,10 +981,13 @@ def steady_state(liou: Liouvillian, stats: dict | None = None) -> DensityMatrix:
     res = float(np.linalg.norm(liou.apply(x)))
     if stats is not None:
         stats.update(method="sparse-shift-invert", lambda2_abs=lam2,
-                     arpack_tol=STEADY_TOL, arpack_basis=basis, solves=solves,
+                     arpack_tol=STEADY_TOL, arpack_basis=basis,
+                     solves=factor.solves - factor.corrections,
+                     refinement_solves=factor.corrections,
                      residual=res, residual_within_target=res <= STEADY_RESIDUAL,
-                     factor_nnz=lu.nnz, factor_bytes=lu.nnz * (8 + 4),
-                     **liou.generator_stats())
+                     factor_blocks=len(factor.lu),
+                     factor_largest_block=factor.largest,
+                     factor_bytes=factor.nbytes, **liou.generator_stats())
     return _validate_evolved(from_coords(x, d), "steady state")
 
 

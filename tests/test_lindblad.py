@@ -4,6 +4,7 @@ and steady states, checked against closed-form moment dynamics."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -934,6 +935,76 @@ hamiltonian_terms = st.lists(
     max_size=4)
 
 
+@st.composite
+def generators(draw) -> Liouvillian:
+    """A random one-mode generator (H = P + P^dag as above, loss), a random
+    two-mode one (a exchanges photons with b, b is driven and lossy), or a
+    disconnected one: a diagonal H without jumps, or pure dephasing."""
+    kind = draw(st.sampled_from(["one-mode", "two-mode", "closed", "dephasing"]))
+    loss = draw(st.floats(0.1, 2.0))
+    if kind == "two-mode":
+        da, db = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        a = np.kron(annihilation_matrix(da), np.eye(db))
+        b = np.kron(np.eye(da), annihilation_matrix(db))
+        g, drive = draw(small_complex()), draw(small_complex())
+        X = g * a.conj().T @ b + drive * b.conj().T
+        H = X + X.conj().T + draw(st.floats(-2.0, 2.0)) * a.conj().T @ a
+        return Liouvillian(H, [math.sqrt(loss) * b])
+    dim = draw(st.integers(2, 12))
+    a = annihilation_matrix(dim)
+    if kind == "one-mode":
+        ad = a.conj().T
+        P = sum((c * np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
+                 for p, q, c in draw(hamiltonian_terms)),
+                np.zeros((dim, dim), dtype=complex))
+        return Liouvillian(P + P.conj().T, [math.sqrt(loss) * a])
+    # on a grid of 0.01: equal energies come up, and a closed model's
+    # ||R||_1, which sets sigma, stays far from underflow
+    energies = draw(st.lists(st.integers(-200, 200).map(lambda k: k / 100),
+                             min_size=dim, max_size=dim))
+    H = np.diag(energies).astype(complex)
+    if kind == "closed":
+        return Liouvillian(H)
+    return Liouvillian(H, [math.sqrt(loss) * a.conj().T @ a])
+
+
+class TestBlockFactor:
+    @settings(max_examples=80, deadline=None)
+    @given(generators(), st.sampled_from([1, 8, lindblad.STEADY_BLOCK]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_blocks_are_tridiagonal_and_the_solve_matches_dense(
+            self, liou, block, seed):
+        """Every stored entry of R joins equal or adjacent blocks, rho_00's
+        block comes last, and the refined solve with R - sigma is backward
+        stable to 8 eps and agrees with ``np.linalg.solve`` to 16 eps times
+        the condition number: the first-order bound for two solves each
+        backward stable to 8 eps.  Block minima of 1 and 8 give the small
+        models many blocks."""
+        R = liou.R
+        n = R.shape[0]
+        sigma = 1e-9 * (spla.norm(R, 1) or 1.0)
+        with mock.patch.object(lindblad, "STEADY_BLOCK", block):
+            blocks = lindblad._level_blocks(R)
+            factor = lindblad._BlockLU(liou, sigma)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+        assert len(blocks) == 1 or min(blk.size for blk in blocks) >= block
+        assert 0 in blocks[-1]
+        where = np.empty(n, dtype=int)
+        for k, blk in enumerate(blocks):
+            where[blk] = k
+        entries = R.tocoo()
+        assert np.all(np.abs(where[entries.row] - where[entries.col]) <= 1)
+        A = R.toarray() - sigma * np.eye(n)
+        rhs = np.random.default_rng(seed).standard_normal(n)
+        x = factor.refined_solve(rhs)
+        ref = np.linalg.solve(A, rhs)
+        eps = np.finfo(float).eps
+        assert (np.linalg.norm(rhs - A @ x)
+                <= 8 * eps * np.linalg.norm(A, 2) * np.linalg.norm(x))
+        assert (np.linalg.norm(x - ref)
+                <= 16 * eps * np.linalg.cond(A) * np.linalg.norm(ref))
+
+
 class TestSteadyState:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(4, 24), hamiltonian_terms, st.floats(0.1, 2.0))
@@ -958,41 +1029,54 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("dim", [2, 7])
     def test_records_every_solve_and_the_factor(self, dim, monkeypatch):
-        """The recorded solves are the solves made with the one factor, and
-        its size is SuperLU's count of the entries of L and U, no fewer than
-        their CSC copies hold.  d = 2 has four coordinates, fewer than
-        STEADY_BASIS."""
+        """The recorded solves and refinement solves are the solves made
+        with the one block factor, at least one correction per solve, and
+        its recorded size is that of its dense blocks and pivots.  d = 2 has
+        four coordinates, fewer than STEADY_BASIS."""
         factors = []
 
-        class Counted:
-            def __init__(self, lu):
-                self.lu, self.solves = lu, 0
-                self.nnz, self.L, self.U = lu.nnz, lu.L, lu.U
+        class Counted(lindblad._BlockLU):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.counted = 0
+                factors.append(self)
 
-            def solve(self, b):
-                self.solves += 1
-                return self.lu.solve(b)
+            def solve(self, rhs):
+                self.counted += 1
+                return super().solve(rhs)
 
-        def splu(A):
-            factors.append(Counted(real_splu(A)))
-            return factors[-1]
-
-        real_splu = lindblad.spla.splu
-        monkeypatch.setattr(lindblad.spla, "splu", splu)
+        monkeypatch.setattr(lindblad, "_BlockLU", Counted)
         a = annihilation_matrix(dim)
         stats: dict = {}
         rho = steady_state(Liouvillian(0.3 * a.conj().T @ a + 0.2 * (a + a.conj().T),
                                        [a]), stats=stats)
         (lu,) = factors
-        assert stats["solves"] == lu.solves > 0
-        assert stats["factor_nnz"] == lu.nnz
-        assert lu.L.nnz + lu.U.nnz <= stats["factor_nnz"]
-        assert stats["factor_bytes"] == 12 * lu.nnz
+        assert stats["solves"] + stats["refinement_solves"] == lu.counted
+        assert (stats["solves"] <= stats["refinement_solves"]
+                <= lindblad.REFINE_STEPS * stats["solves"])
+        assert stats["solves"] > 0
+        assert stats["factor_blocks"] == len(lu.lu) >= 1
+        assert stats["factor_largest_block"] == max(m.shape[0] for m in lu.lu)
+        assert stats["factor_bytes"] == sum(m.nbytes + p.nbytes
+                                            for m, p in zip(lu.lu, lu.piv))
         assert stats["arpack_basis"] == min(lindblad.STEADY_BASIS, dim * dim)
         assert stats["arpack_tol"] == lindblad.STEADY_TOL
         assert stats["residual"] <= lindblad.STEADY_RESIDUAL
         assert stats["residual_within_target"] is True
         assert abs(np.trace(rho.mat) - 1.0) < 1e-12
+
+    def test_oversized_factor_is_refused_before_allocation(self, monkeypatch):
+        """The factor's bytes are known from its block sizes, so a factor
+        above FACTOR_BYTES_CAP is refused before any block is factored."""
+        monkeypatch.setattr(lindblad, "FACTOR_BYTES_CAP", 1000)
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("getrf called")
+
+        monkeypatch.setattr(lindblad.lapack, "dgetrf", no_factor)
+        a = annihilation_matrix(6)
+        with pytest.raises(NumericalFailure, match="refusing"):
+            steady_state(Liouvillian(a.conj().T @ a, [a]))
 
     def test_damped_cavity_relaxes_to_vacuum(self):
         dim = 7
